@@ -111,9 +111,15 @@ void copy_or_zero(const PassOp& op, std::size_t count, std::size_t stride) {
   }
 }
 
+/// Row pairs are whole rows apart, so 2 per chunk is enough; column pairs
+/// are 16 B of the same rows, so a chunk of 8 owns 128 B (two cache lines)
+/// of every row it writes instead of sharing each line with another worker.
+constexpr std::size_t kRowPairsPerChunk = 2;
+constexpr std::size_t kColPairsPerChunk = 8;
+
 template <typename Item>
-void fan_out(std::size_t total, std::size_t n, ThreadPool* pool,
-             PlanScratch& scratch, const Item& item) {
+void fan_out(std::size_t total, std::size_t n, std::size_t grain,
+             ThreadPool* pool, PlanScratch& scratch, const Item& item) {
   if (pool != nullptr && pool->size() > 1 && total >= 2) {
     scratch.reserve(n, pool->size());
     pool->parallel_for(
@@ -122,7 +128,7 @@ void fan_out(std::size_t total, std::size_t n, ThreadPool* pool,
           double* z = scratch.slot(w);
           for (std::size_t t = b; t < e; ++t) item(t, z);
         },
-        /*grain=*/2);
+        grain);
     return;
   }
   scratch.reserve(n, 1);
@@ -141,7 +147,7 @@ void run_rows(const PassOp* ops, std::size_t num_ops, std::size_t rows,
   }
   const Plan& p = plan(cols);
   const std::size_t pairs = (rows + 1) / 2;
-  fan_out(pairs * num_ops, cols, pool, scratch,
+  fan_out(pairs * num_ops, cols, kRowPairsPerChunk, pool, scratch,
           [&](std::size_t t, double* z) {
             const PassOp& op = ops[t / pairs];
             const std::size_t r0 = 2 * (t % pairs);
@@ -171,7 +177,7 @@ void run_cols(const PassOp* ops, std::size_t num_ops, std::size_t rows,
   assert(hook == nullptr || num_ops == 1);
   const Plan& p = plan(rows);
   const std::size_t pairs = (cols + 1) / 2;
-  fan_out(pairs * num_ops, rows, pool, scratch,
+  fan_out(pairs * num_ops, rows, kColPairsPerChunk, pool, scratch,
           [&](std::size_t t, double* z) {
             const PassOp& op = ops[t / pairs];
             const std::size_t c0 = 2 * (t % pairs);

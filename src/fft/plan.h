@@ -29,6 +29,13 @@
 // ones for ANY worker count, and the scalar and AVX2 backends of the new
 // kernels are bitwise-identical to each other by construction (single-
 // rounded mul/add/addsub chains in matching order, no FMA contraction).
+//
+// Scheduling: row passes hand each worker 2 row pairs at a time; column
+// passes hand out 8 column pairs at a time, so a worker owns 128 B of every
+// row it writes (spectral-scale hook included) and can share only the lines
+// at a block's two edges with another worker — never every line of the row,
+// as 32 B chunks would. Chunking decides only which worker runs a pair,
+// never the pair's arithmetic (DESIGN.md §15).
 #pragma once
 
 #include <cstddef>

@@ -76,20 +76,26 @@ WirelengthSums fused_wl_grad_hpwl_mt(const NetlistView& v, const float* x,
             s.gy[w].assign(n_cells, 0.0f);
             const std::size_t lo = w * v.num_nets / workers;
             const std::size_t hi = (w + 1) * v.num_nets / workers;
+            // The slot sums accumulate in locals and are stored once:
+            // neighbouring s.wa/s.hp slots share a cache line, and updating
+            // them once per net would bounce it between cores.
+            double wa = 0.0, hp = 0.0;
             if (k.isa == simd::Isa::kScalar) {
               for (std::size_t e = lo; e < hi; ++e) {
                 if (!v.net_mask[e]) continue;
                 detail::fused_net(v, e, x, y, inv_gamma, s.gx[w].data(),
-                                  s.gy[w].data(), s.wa[w], s.hp[w]);
+                                  s.gy[w].data(), wa, hp);
               }
             } else {
               // Vector lanes inside each worker's chunk; per-slot double
               // accumulators keep the slot-ordered reduction deterministic.
               thread_local detail::WaBatchScratch sc;
               detail::fused_range_simd(k, v, lo, hi, x, y, inv_gamma,
-                                       s.gx[w].data(), s.gy[w].data(),
-                                       s.wa[w], s.hp[w], sc);
+                                       s.gx[w].data(), s.gy[w].data(), wa,
+                                       hp, sc);
             }
+            s.wa[w] = wa;
+            s.hp[w] = hp;
           }
         },
         /*grain=*/1);

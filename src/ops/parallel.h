@@ -11,6 +11,11 @@
 //   * the field gather is embarrassingly parallel (each cell's gradient slot
 //     is written by exactly one worker).
 //
+// Workers never share a cache line in a hot loop: per-partition scalars (the
+// WA and HPWL sums) accumulate in locals and are stored to their slot array
+// once per partition, and the per-slot gradient buffers and bin maps are
+// separate allocations (DESIGN.md §9).
+//
 // Each *_mt call still counts as one dispatcher launch: it models one fat
 // kernel, not many. The fused wirelength kernel launches under the SAME op
 // name as its serial twin ("fused_wl_grad_hpwl") — the backend choice changes

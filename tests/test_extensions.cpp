@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "io/bookshelf.h"
 #include "io/generator.h"
@@ -13,6 +15,7 @@
 #include "ops/parallel.h"
 #include "route/congestion.h"
 #include "route/inflation.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace xplace {
@@ -115,6 +118,84 @@ TEST_P(ParallelKernels, GatherMatchesSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, ParallelKernels, ::testing::Values(1, 2, 4));
+
+/// The pooled WA kernel's contract, rebuilt from the serial kernel: slot w
+/// owns nets [w·N/W, (w+1)·N/W), runs them alone (every other net masked off)
+/// into a private zeroed buffer, and the slots fold in order, per cell and
+/// for the two sums.
+ops::WirelengthSums slot_folded_reference(const ops::NetlistView& view,
+                                          const float* x, const float* y,
+                                          float gamma, std::size_t workers,
+                                          float* grad_x, float* grad_y) {
+  const std::size_t n = view.num_cells;
+  std::vector<std::vector<float>> gx(workers), gy(workers);
+  std::vector<ops::WirelengthSums> slot(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    const std::size_t lo = w * view.num_nets / workers;
+    const std::size_t hi = (w + 1) * view.num_nets / workers;
+    ops::NetlistView own = view;
+    for (std::size_t e = 0; e < view.num_nets; ++e) {
+      if (e < lo || e >= hi) own.net_mask[e] = 0;
+    }
+    gx[w].assign(n, 0.0f);
+    gy[w].assign(n, 0.0f);
+    slot[w] = ops::fused_wl_grad_hpwl(own, x, y, gamma, gx[w].data(),
+                                      gy[w].data());
+  }
+  for (std::size_t c = 0; c < n; ++c) {
+    float ax = 0.0f, ay = 0.0f;
+    for (std::size_t w = 0; w < workers; ++w) {
+      ax += gx[w][c];
+      ay += gy[w][c];
+    }
+    grad_x[c] += ax;
+    grad_y[c] += ay;
+  }
+  ops::WirelengthSums sums;
+  for (std::size_t w = 0; w < workers; ++w) {
+    sums.wa += slot[w].wa;
+    sums.hpwl += slot[w].hpwl;
+  }
+  return sums;
+}
+
+TEST(ParallelKernels, FusedWirelengthBitwiseMatchesSlotFoldedReference) {
+  db::Database db = make_db();
+  const ops::NetlistView view = ops::build_netlist_view(db);
+  std::vector<float> x, y;
+  get_positions(db, x, y);
+  // A nonzero incoming gradient: the kernel accumulates into it.
+  std::vector<float> base(view.num_cells);
+  for (std::size_t c = 0; c < base.size(); ++c) {
+    base[c] = 0.25f * std::sin(0.7f * static_cast<float>(c));
+  }
+  const simd::Isa before = simd::isa();
+  std::vector<simd::Isa> isas{simd::Isa::kScalar};
+  if (simd::cpu_has_avx2()) isas.push_back(simd::Isa::kAvx2);
+  for (const simd::Isa isa : isas) {
+    simd::select(isa);
+    for (const std::size_t workers : {2u, 3u, 4u, 7u}) {
+      std::vector<float> gx_r = base, gy_r = base;
+      const ops::WirelengthSums ref = slot_folded_reference(
+          view, x.data(), y.data(), 6.0f, workers, gx_r.data(), gy_r.data());
+      ThreadPool pool(workers);
+      std::vector<float> gx_p = base, gy_p = base;
+      const ops::WirelengthSums par = ops::fused_wl_grad_hpwl_mt(
+          view, x.data(), y.data(), 6.0f, gx_p.data(), gy_p.data(), pool);
+      const std::string where = std::string(simd::isa_name(isa)) + " at " +
+                                std::to_string(workers) + " workers";
+      EXPECT_EQ(0, std::memcmp(&par.wa, &ref.wa, sizeof(double))) << where;
+      EXPECT_EQ(0, std::memcmp(&par.hpwl, &ref.hpwl, sizeof(double))) << where;
+      EXPECT_EQ(0, std::memcmp(gx_p.data(), gx_r.data(),
+                               gx_r.size() * sizeof(float)))
+          << where;
+      EXPECT_EQ(0, std::memcmp(gy_p.data(), gy_r.data(),
+                               gy_r.size() * sizeof(float)))
+          << where;
+    }
+  }
+  simd::select(before);
+}
 
 TEST(ParallelKernels, DeterministicForFixedPoolSize) {
   db::Database db = make_db();

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -189,19 +190,37 @@ TEST(FftPlan, ScalarAndAvx2AreBitwiseIdentical) {
 }
 
 TEST(FftPlan, PooledMatchesSerialBitwiseAndRunToRun) {
-  ThreadPool pool(4);
-  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{64, 64},
-                                   {32, 128},
-                                   {128, 32}}) {
-    const std::vector<double> in = random_buf(rows * cols, rows + 13 * cols);
-    std::vector<double> serial = in, pooled1 = in, pooled2 = in;
-    idxst_idct(serial.data(), rows, cols, nullptr);
-    idxst_idct(pooled1.data(), rows, cols, &pool);
-    idxst_idct(pooled2.data(), rows, cols, &pool);
-    ASSERT_EQ(0, std::memcmp(serial.data(), pooled1.data(),
-                             serial.size() * sizeof(double)));
-    ASSERT_EQ(0, std::memcmp(pooled1.data(), pooled2.data(),
-                             pooled1.size() * sizeof(double)));
+  // Column passes fan out 8 pairs per chunk: the narrow shapes leave a chunk
+  // part-filled (64×2, 64×4, 64×8) or split unevenly among 3 workers (2×64).
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {64, 64}, {32, 128}, {128, 32}, {64, 2}, {64, 4}, {64, 8}, {2, 64}};
+  for (const std::size_t workers : {2u, 3u, 4u}) {
+    ThreadPool pool(workers);
+    for (const auto& [rows, cols] : shapes) {
+      const std::vector<double> in = random_buf(rows * cols, rows + 13 * cols);
+      for (int t = 0; t < 4; ++t) {
+        auto run = [&](std::vector<double>& d, ThreadPool* p) {
+          switch (t) {
+            case 0: dct2(d.data(), rows, cols, p); break;
+            case 1: idct2(d.data(), rows, cols, p); break;
+            case 2: idxst_idct(d.data(), rows, cols, p); break;
+            default: idct_idxst(d.data(), rows, cols, p); break;
+          }
+        };
+        std::vector<double> serial = in, pooled1 = in, pooled2 = in;
+        run(serial, nullptr);
+        run(pooled1, &pool);
+        run(pooled2, &pool);
+        ASSERT_EQ(0, std::memcmp(serial.data(), pooled1.data(),
+                                 serial.size() * sizeof(double)))
+            << rows << "x" << cols << " transform " << t << " at " << workers
+            << " workers";
+        ASSERT_EQ(0, std::memcmp(pooled1.data(), pooled2.data(),
+                                 pooled1.size() * sizeof(double)))
+            << rows << "x" << cols << " transform " << t << " at " << workers
+            << " workers";
+      }
+    }
   }
 }
 
@@ -238,24 +257,33 @@ TEST(FftPlan, PlanCacheReturnsSameInstanceUnderConcurrentFirstBuild) {
 // ---- solver integration ---------------------------------------------------
 
 TEST(FftPlan, PoissonSolverPooledMatchesSerialBitwise) {
-  constexpr int kM = 64;
-  const std::vector<double> rho = random_buf(kM * kM, 123);
-  ops::PoissonSolver serial(kM, 1.0, 1.0);
-  serial.solve(rho.data(), /*want_potential=*/true);
-
-  ThreadPool pool(4);
-  ops::PoissonSolver pooled(kM, 1.0, 1.0);
-  pooled.set_pool(&pool);
-  pooled.solve(rho.data(), /*want_potential=*/true);
-  pooled.solve(rho.data(), /*want_potential=*/true);  // run-to-run
-
-  ASSERT_EQ(0, std::memcmp(serial.ex().data(), pooled.ex().data(),
-                           serial.ex().size() * sizeof(double)));
-  ASSERT_EQ(0, std::memcmp(serial.ey().data(), pooled.ey().data(),
-                           serial.ey().size() * sizeof(double)));
-  ASSERT_EQ(0, std::memcmp(serial.psi().data(), pooled.psi().data(),
-                           serial.psi().size() * sizeof(double)));
-  EXPECT_EQ(serial.energy(rho.data()), pooled.energy(rho.data()));
+  // With the potential on, the field column pass fans out 3 grids' pairs in
+  // one dispatch; at m = 4 and 8 a chunk of 8 pairs straddles grids.
+  for (const int m : {4, 8, 16, 64}) {
+    const std::vector<double> rho = random_buf(m * m, 123 + m);
+    ops::PoissonSolver serial(m, 1.0, 1.0);
+    serial.solve(rho.data(), /*want_potential=*/true);
+    for (const std::size_t workers : {2u, 3u, 4u}) {
+      ThreadPool pool(workers);
+      ops::PoissonSolver pooled(m, 1.0, 1.0);
+      pooled.set_pool(&pool);
+      pooled.solve(rho.data(), /*want_potential=*/true);
+      pooled.solve(rho.data(), /*want_potential=*/true);  // run-to-run
+      const std::string where =
+          "m=" + std::to_string(m) + " at " + std::to_string(workers) +
+          " workers";
+      ASSERT_EQ(0, std::memcmp(serial.ex().data(), pooled.ex().data(),
+                               serial.ex().size() * sizeof(double)))
+          << where;
+      ASSERT_EQ(0, std::memcmp(serial.ey().data(), pooled.ey().data(),
+                               serial.ey().size() * sizeof(double)))
+          << where;
+      ASSERT_EQ(0, std::memcmp(serial.psi().data(), pooled.psi().data(),
+                               serial.psi().size() * sizeof(double)))
+          << where;
+      EXPECT_EQ(serial.energy(rho.data()), pooled.energy(rho.data())) << where;
+    }
+  }
 }
 
 TEST(FftPlan, PoissonSolverFieldHasZeroMeanPotentialGradientStructure) {
