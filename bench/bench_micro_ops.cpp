@@ -323,13 +323,14 @@ int run_json_fft_mode(const std::string& path) {
   ThreadPool pool(4);  // caller + 3 workers
 
   // Traffic estimates: each 1-D pass reads and writes the full grid once
-  // (8 B/double), so a 2-D transform moves 4 grids of bytes. The solve is
-  // dct2 rho→coeff (4 grids) + the fused spectral scale (read coeff, write
-  // ex/ey/psi: 4) + the batched ex/ey row and column syntheses (2 grids ×
-  // 2 passes × read+write: 8).
+  // (8 B/double), so a 2-D transform moves 4 grids of bytes. The field-only
+  // solve is dct2 rho→coeff (4 grids) + the spectral scale pass (read
+  // coeff, write ex/ey: 3; ψ̂ is stored only with the potential) + the
+  // batched ex/ey row and column syntheses (2 grids × 2 passes ×
+  // read+write: 8).
   const double kGrid = 8.0 * static_cast<double>(kM * kM);
   const double kXformBytes = 4.0 * kGrid;   // 2 passes × (read + write)
-  const double kSolveBytes = 16.0 * kGrid;  // fwd(4) + scale(4) + fields(8)
+  const double kSolveBytes = 15.0 * kGrid;  // fwd(4) + scale(3) + fields(8)
 
   std::vector<const char*> isas = {"scalar"};
   if (simd::cpu_has_avx2()) isas.push_back("avx2");

@@ -159,22 +159,12 @@ void run_rows(const PassOp* ops, std::size_t num_ops, std::size_t rows,
 }
 
 void run_cols(const PassOp* ops, std::size_t num_ops, std::size_t rows,
-              std::size_t cols, ThreadPool* pool, PlanScratch& scratch,
-              const ColHook* hook) {
+              std::size_t cols, ThreadPool* pool, PlanScratch& scratch) {
   if (num_ops == 0 || cols == 0) return;
   if (rows == 1) {
     for (std::size_t o = 0; o < num_ops; ++o) copy_or_zero(ops[o], cols, 1);
-    if (hook != nullptr) {
-      for (std::size_t c = 0; c < cols; c += 2) {
-        (*hook)(c, c + 1 < cols ? c + 1 : c);
-      }
-    }
     return;
   }
-  // A hook needs the pair complete when it fires; with several ops the same
-  // pair lives in several independent work items, so fusion is only sound
-  // for a single-op pass (the Poisson forward — its only user).
-  assert(hook == nullptr || num_ops == 1);
   const Plan& p = plan(rows);
   const std::size_t pairs = (cols + 1) / 2;
   fan_out(pairs * num_ops, rows, kColPairsPerChunk, pool, scratch,
@@ -184,7 +174,6 @@ void run_cols(const PassOp* ops, std::size_t num_ops, std::size_t rows,
             const std::size_t c1 = c0 + 1 < cols ? c0 + 1 : c0;
             transform_pair(p, op.kind, op.src + c0, op.src + c1, op.dst + c0,
                            op.dst + c1, /*stride=*/cols, z);
-            if (hook != nullptr) (*hook)(c0, c1);
           });
 }
 

@@ -32,15 +32,19 @@
 //
 // Scheduling: row passes hand each worker 2 row pairs at a time; column
 // passes hand out 8 column pairs at a time, so a worker owns 128 B of every
-// row it writes (spectral-scale hook included) and can share only the lines
-// at a block's two edges with another worker — never every line of the row,
-// as 32 B chunks would. Chunking decides only which worker runs a pair,
-// never the pair's arithmetic (DESIGN.md §15).
+// row it writes and can share only the lines at a block's two edges with
+// another worker — never every line of the row, as 32 B chunks would.
+// Chunking decides only which worker runs a pair, never the pair's
+// arithmetic (DESIGN.md §15).
+//
+// The executors transform and nothing else. Element-wise work between
+// passes (the Poisson solve's spectral scale) runs as its own row-major
+// pass: run per column pair, it would walk every grid it touches at the
+// column stride (m·8 B apart) and cost more than the transform itself.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "fft/fft.h"
@@ -126,12 +130,6 @@ struct PassOp {
   Kind1D kind = Kind1D::kDct;
 };
 
-/// Called after each column pair (c0, c1) of a run_cols pass lands
-/// (c1 == c0 for the degenerate single-column case), while the pair is
-/// still cache-hot. Pairs may run on different workers concurrently; hooks
-/// must write disjoint state per pair (the spectral scale does).
-using ColHook = std::function<void(std::size_t c0, std::size_t c1)>;
-
 /// Transforms dimension 1 (each contiguous row) of every op, pairing rows
 /// (2p, 2p+1) through one complex FFT. All (op, pair) items of every op fan
 /// out in a single pool dispatch; serial when pool is null.
@@ -140,11 +138,9 @@ void run_rows(const PassOp* ops, std::size_t num_ops, std::size_t rows,
 
 /// Transforms dimension 0 (each strided column) of every op, pairing
 /// adjacent columns — a column pair is 16-byte contiguous at every element,
-/// so there is no gather/scatter copy. `hook`, when non-null, fires once
-/// per finished column pair.
+/// so there is no gather/scatter copy.
 void run_cols(const PassOp* ops, std::size_t num_ops, std::size_t rows,
-              std::size_t cols, ThreadPool* pool, PlanScratch& scratch,
-              const ColHook* hook = nullptr);
+              std::size_t cols, ThreadPool* pool, PlanScratch& scratch);
 
 /// The pair core (exposed for tests): transform sequences a and b — length
 /// p.n, elements at `stride` — in one complex FFT. sb may equal sa (the

@@ -1,5 +1,6 @@
 #include "ops/electrostatics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -35,35 +36,45 @@ void PoissonSolver::solve(const double* rho, bool want_potential) {
   using fft::Kind1D;
   using fft::PassOp;
 
-  // Forward cosine transform of the density, through the fused plan engine:
-  // the row pass reads ρ straight into coeff_ (the old copy loop is the
-  // gather of the fused head), and the spectral scaling
+  // Forward cosine transform of the density, through the fused plan engine
+  // (the row pass reads ρ straight into coeff_), then the spectral scaling
   //   ψ̂ = a/(w²); Ex̂ = ψ̂·wu ; Eŷ = ψ̂·wv
-  // rides the column pass as a per-column-pair hook while the pair is cache-
-  // hot. The i = 0 special case zeroes the constant mode, which is exactly
-  // the ∬ρ = 0 mean removal. Pairs write disjoint columns, so the pooled
-  // pass stays bitwise-equal to the serial one for any worker count.
+  // as one row-major pass over coeff_. The constant mode is zeroed, which is
+  // exactly the ∬ρ = 0 mean removal; ψ̂ is stored only when the potential
+  // is synthesized. Rows write disjoint slices, so the pooled pass is
+  // bitwise-equal to the serial one for any worker count (DESIGN.md §15).
   disp.run("es.dct2", [&] {
     const PassOp row{rho, coeff_.data(), Kind1D::kDct};
     fft::run_rows(&row, 1, m, m, pool, scratch_);
     const PassOp col{coeff_.data(), coeff_.data(), Kind1D::kDct};
-    const fft::ColHook scale = [&](std::size_t c0, std::size_t c1) {
-      for (std::size_t v = c0; v <= c1; ++v) {
-        for (std::size_t u = 0; u < m; ++u) {
+    fft::run_cols(&col, 1, m, m, pool, scratch_);
+    double* psi = want_potential ? psi_.data() : nullptr;
+    const auto scale_rows = [&](std::size_t u0, std::size_t u1) {
+      for (std::size_t u = u0; u < u1; ++u) {
+        std::size_t v = 0;
+        if (u == 0) {
+          ex_[0] = ey_[0] = 0.0;
+          if (psi != nullptr) psi[0] = 0.0;
+          v = 1;
+        }
+        for (; v < m; ++v) {
           const std::size_t i = u * m + v;
-          if (i == 0) {
-            ex_[0] = ey_[0] = psi_[0] = 0.0;
-            continue;
-          }
           const double denom = wu_[u] * wu_[u] + wv_[v] * wv_[v];
           const double ps = coeff_[i] / denom;
-          psi_[i] = ps;
+          if (psi != nullptr) psi[i] = ps;
           ex_[i] = ps * wu_[u];
           ey_[i] = ps * wv_[v];
         }
       }
     };
-    fft::run_cols(&col, 1, m, m, pool, scratch_, &scale);
+    if (pool != nullptr) {
+      // About four row blocks per worker, one dispatch.
+      pool->parallel_for(
+          m, [&](std::size_t b, std::size_t e, std::size_t) { scale_rows(b, e); },
+          std::max<std::size_t>(1, m / (4 * pool->size())));
+    } else {
+      scale_rows(0, m);
+    }
   });
 
   // Field syntheses (sine along the differentiated axis), batched: every row

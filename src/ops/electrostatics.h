@@ -44,6 +44,9 @@ class PoissonSolver {
 
   const std::vector<double>& ex() const { return ex_; }
   const std::vector<double>& ey() const { return ey_; }
+  /// The potential ψ. Valid only after a solve() with want_potential=true:
+  /// a field-only solve neither stores ψ̂ nor synthesizes ψ, so this then
+  /// still holds the last potential solve's result (or zeros).
   const std::vector<double>& psi() const { return psi_; }
 
   /// Mutable views of the synthesized field grids. The gradient engine's

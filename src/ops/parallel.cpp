@@ -122,6 +122,21 @@ WirelengthSums fused_wl_grad_hpwl_mt(const NetlistView& v, const float* x,
 
 namespace {
 
+/// One cell's footprint into `map` through the active backend's scatter:
+/// the arithmetic of DensityGrid::accumulate_range/accumulate_cells, so the
+/// serial fallbacks below agree with them bit for bit on either backend.
+void scatter_cell(const DensityGrid& grid, const simd::Kernels& k,
+                  std::size_t c, const float* x, const float* y, double* map) {
+  const double scale = grid.cell_density_scale(c) * grid.inv_bin_area();
+  if (k.isa == simd::Isa::kScalar) {
+    grid.for_each_overlap(c, x, y, [&](std::size_t bin, double ov) {
+      map[bin] += ov * scale;
+    });
+  } else {
+    grid.scatter_one(k, c, x, y, scale, map);
+  }
+}
+
 /// Shared core of the two parallel scatters: partitioned accumulation into
 /// per-slot bin maps followed by a deterministic parallel bin reduction.
 /// `cell_at(i)` maps a partition index in [0, count) to a cell id.
@@ -142,16 +157,7 @@ void scatter_partitioned(const DensityGrid& grid, const float* x,
           const std::size_t lo = w * count / workers;
           const std::size_t hi = (w + 1) * count / workers;
           for (std::size_t i = lo; i < hi; ++i) {
-            const std::size_t c = cell_at(i);
-            const double scale =
-                grid.cell_density_scale(c) * grid.inv_bin_area();
-            if (k.isa == simd::Isa::kScalar) {
-              grid.for_each_overlap(c, x, y, [&](std::size_t bin, double ov) {
-                m[bin] += ov * scale;
-              });
-            } else {
-              grid.scatter_one(k, c, x, y, scale, m);
-            }
+            scatter_cell(grid, k, cell_at(i), x, y, m);
           }
         }
       },
@@ -180,11 +186,9 @@ void accumulate_range_mt(const DensityGrid& grid, const char* opname,
     const std::size_t count = end - begin;
     if (pool.size() <= 1 || count < 512) {
       if (clear) std::fill(map, map + grid.num_bins(), 0.0);
+      const simd::Kernels& k = simd::active();
       for (std::size_t c = begin; c < end; ++c) {
-        const double scale = grid.cell_density_scale(c) * grid.inv_bin_area();
-        grid.for_each_overlap(c, x, y, [&](std::size_t bin, double overlap) {
-          map[bin] += overlap * scale;
-        });
+        scatter_cell(grid, k, c, x, y, map);
       }
       return;
     }
@@ -200,12 +204,8 @@ void accumulate_cells_mt(const DensityGrid& grid, const char* opname,
   Dispatcher::global().run(opname, [&] {
     if (pool.size() <= 1 || cells.size() < 512) {
       if (clear) std::fill(map, map + grid.num_bins(), 0.0);
-      for (const std::uint32_t c : cells) {
-        const double scale = grid.cell_density_scale(c) * grid.inv_bin_area();
-        grid.for_each_overlap(c, x, y, [&](std::size_t bin, double overlap) {
-          map[bin] += overlap * scale;
-        });
-      }
+      const simd::Kernels& k = simd::active();
+      for (const std::uint32_t c : cells) scatter_cell(grid, k, c, x, y, map);
       return;
     }
     scatter_partitioned(grid, x, y, cells.size(), map, clear, pool,

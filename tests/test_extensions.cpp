@@ -72,23 +72,61 @@ TEST_P(ParallelKernels, FusedWirelengthMatchesSerial) {
   }
 }
 
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 TEST_P(ParallelKernels, DensityScatterMatchesSerial) {
   const int threads = GetParam();
   db::Database db = make_db();
   ops::DensityGrid grid(db, 64);
   std::vector<float> x, y;
   get_positions(db, x, y);
+  const std::size_t n = db.num_cells_total();
+  // 511 cells and a 500-cell list: under the 512-cell fan-out threshold, so
+  // the pooled scatters run serially at every pool size.
+  const std::size_t lo = 100, hi = 611;
+  std::vector<std::uint32_t> cells;
+  for (std::uint32_t c = 0; c < 1000; c += 2) cells.push_back(c);
+  ASSERT_GT(n, 1000u);
 
-  std::vector<double> serial(grid.num_bins());
-  grid.accumulate_range("s", x.data(), y.data(), 0, db.num_cells_total(),
-                        serial.data(), true);
   ThreadPool pool(threads);
-  std::vector<double> par(grid.num_bins());
-  ops::accumulate_range_mt(grid, "p", x.data(), y.data(), 0,
-                           db.num_cells_total(), par.data(), true, pool);
-  for (std::size_t b = 0; b < grid.num_bins(); ++b) {
-    EXPECT_NEAR(par[b], serial[b], 1e-9 + 1e-9 * std::fabs(serial[b])) << b;
+  const simd::Isa before = simd::isa();
+  std::vector<simd::Isa> isas{simd::Isa::kScalar};
+  if (simd::cpu_has_avx2()) isas.push_back(simd::Isa::kAvx2);
+  for (const simd::Isa isa : isas) {
+    simd::select(isa);
+    const std::string where = std::string(simd::isa_name(isa)) + " at " +
+                              std::to_string(threads) + " workers";
+    std::vector<double> serial(grid.num_bins()), par(grid.num_bins());
+    grid.accumulate_range("s", x.data(), y.data(), 0, n, serial.data(), true);
+    ops::accumulate_range_mt(grid, "p", x.data(), y.data(), 0, n, par.data(),
+                             true, pool);
+    if (threads == 1) {
+      EXPECT_TRUE(same_bits(par, serial)) << "full range, " << where;
+    } else {
+      for (std::size_t b = 0; b < grid.num_bins(); ++b) {
+        EXPECT_NEAR(par[b], serial[b], 1e-9 + 1e-9 * std::fabs(serial[b]))
+            << b << ", " << where;
+      }
+    }
+
+    // Small range onto a nonzero map (clear = false).
+    std::vector<double> small_s = serial, small_p = serial;
+    grid.accumulate_range("s", x.data(), y.data(), lo, hi, small_s.data(),
+                          false);
+    ops::accumulate_range_mt(grid, "p", x.data(), y.data(), lo, hi,
+                             small_p.data(), false, pool);
+    EXPECT_TRUE(same_bits(small_p, small_s)) << "511-cell range, " << where;
+
+    std::vector<double> list_s(grid.num_bins()), list_p(grid.num_bins());
+    grid.accumulate_cells("s", x.data(), y.data(), cells, list_s.data(), true);
+    ops::accumulate_cells_mt(grid, "p", x.data(), y.data(), cells,
+                             list_p.data(), true, pool);
+    EXPECT_TRUE(same_bits(list_p, list_s)) << "500-cell list, " << where;
   }
+  simd::select(before);
 }
 
 TEST_P(ParallelKernels, GatherMatchesSerial) {

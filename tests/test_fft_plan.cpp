@@ -1,14 +1,16 @@
 // Tests for the fused FFT/DCT plan engine (fft/plan.h, DESIGN.md §15):
 // numerical parity against the naive O(N²) references across every
 // power-of-two size the solver can see, bitwise scalar↔AVX2 and
-// pooled↔serial agreement, plan-cache thread-safety under first-build races
-// (the "concurrency" label puts this binary in the TSan lane), and the
-// PoissonSolver's batched pass pipeline.
+// pooled↔serial agreement, plan-cache thread-safety under first-build races,
+// and the PoissonSolver's batched pass pipeline, pinned bitwise to a
+// test-side rebuild of its pass sequence. The "concurrency" label puts this
+// binary in the TSan lane and the "simd" label in the ASan+UBSan lane.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <numbers>
 #include <random>
 #include <string>
 #include <thread>
@@ -286,9 +288,117 @@ TEST(FftPlan, PoissonSolverPooledMatchesSerialBitwise) {
   }
 }
 
+/// The solve's fields, potential and energy.
+struct SolveOut {
+  std::vector<double> ex, ey, psi;
+  double energy = 0.0;
+};
+
+/// The Poisson solve rebuilt from the plan executors, serially, with the
+/// spectral scale applied column by column after the forward column pass —
+/// the order in which the solver once ran it as a per-column-pair hook of
+/// that pass — using the solver's expressions for w_u, w_v and the scale.
+/// ψ is always synthesized; each grid's passes are independent of the
+/// others, so E_x and E_y match a field-only solve too.
+SolveOut column_order_reference(int m, double bin_w, double bin_h,
+                                const std::vector<double>& rho) {
+  const std::size_t n = static_cast<std::size_t>(m);
+  std::vector<double> wu(n), wv(n);
+  for (int u = 0; u < m; ++u) {
+    wu[u] = std::numbers::pi * u / (m * bin_w);
+    wv[u] = std::numbers::pi * u / (m * bin_h);
+  }
+  std::vector<double> coeff(n * n);
+  SolveOut out;
+  out.ex.resize(n * n);
+  out.ey.resize(n * n);
+  out.psi.resize(n * n);
+  PlanScratch scratch;
+  const PassOp fwd_row{rho.data(), coeff.data(), Kind1D::kDct};
+  run_rows(&fwd_row, 1, n, n, nullptr, scratch);
+  const PassOp fwd_col{coeff.data(), coeff.data(), Kind1D::kDct};
+  run_cols(&fwd_col, 1, n, n, nullptr, scratch);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t u = 0; u < n; ++u) {
+      const std::size_t i = u * n + v;
+      if (i == 0) {
+        out.ex[0] = out.ey[0] = out.psi[0] = 0.0;
+        continue;
+      }
+      const double denom = wu[u] * wu[u] + wv[v] * wv[v];
+      const double ps = coeff[i] / denom;
+      out.psi[i] = ps;
+      out.ex[i] = ps * wu[u];
+      out.ey[i] = ps * wv[v];
+    }
+  }
+  const PassOp row_ops[3] = {
+      {out.ex.data(), out.ex.data(), Kind1D::kIdct},
+      {out.ey.data(), out.ey.data(), Kind1D::kIdxst},
+      {out.psi.data(), out.psi.data(), Kind1D::kIdct},
+  };
+  run_rows(row_ops, 3, n, n, nullptr, scratch);
+  const PassOp col_ops[3] = {
+      {out.ex.data(), out.ex.data(), Kind1D::kIdxst},
+      {out.ey.data(), out.ey.data(), Kind1D::kIdct},
+      {out.psi.data(), out.psi.data(), Kind1D::kIdct},
+  };
+  run_cols(col_ops, 3, n, n, nullptr, scratch);
+  out.energy = 0.5 * simd::active().ddot(rho.data(), out.psi.data(), n * n);
+  return out;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(FftPlan, PoissonSolverMatchesColumnOrderReferenceBitwise) {
+  // The solver scales the spectrum in one row-major pass after the forward
+  // column pass; the result must not move by a bit from the column-order
+  // reference, serial or pooled, field-only or with the potential, on every
+  // backend. Each solver runs potential, field-only, potential: the last
+  // solve follows one that stored no ψ̂, over a ψ grid the first one left
+  // behind. Non-square bins keep w_u and w_v apart.
+  constexpr double kBinW = 1.5, kBinH = 0.75;
+  const simd::Isa before = simd::isa();
+  std::vector<simd::Isa> isas{simd::Isa::kScalar};
+  if (simd::cpu_has_avx2()) isas.push_back(simd::Isa::kAvx2);
+  ThreadPool pool2(2), pool3(3), pool4(4);
+  ThreadPool* const pools[] = {nullptr, &pool2, &pool3, &pool4};
+  for (const simd::Isa isa : isas) {
+    simd::select(isa);
+    for (const int m : {2, 4, 8, 64, 512}) {
+      const std::vector<double> rho = random_buf(
+          static_cast<std::size_t>(m) * m, 301 + static_cast<unsigned>(m));
+      const SolveOut ref = column_order_reference(m, kBinW, kBinH, rho);
+      for (ThreadPool* pool : pools) {
+        ops::PoissonSolver solver(m, kBinW, kBinH);
+        solver.set_pool(pool);
+        for (const bool potential : {true, false, true}) {
+          solver.solve(rho.data(), potential);
+          const std::string where =
+              std::string(simd::isa_name(isa)) + " m=" + std::to_string(m) +
+              (potential ? " with potential" : " field-only") + " at " +
+              std::to_string(pool != nullptr ? pool->size() : 1) +
+              " workers";
+          EXPECT_TRUE(same_bits(solver.ex(), ref.ex)) << "ex, " << where;
+          EXPECT_TRUE(same_bits(solver.ey(), ref.ey)) << "ey, " << where;
+          if (!potential) continue;
+          EXPECT_TRUE(same_bits(solver.psi(), ref.psi)) << "psi, " << where;
+          const double energy = solver.energy(rho.data());
+          EXPECT_EQ(0, std::memcmp(&energy, &ref.energy, sizeof(double)))
+              << "energy, " << where;
+        }
+      }
+    }
+  }
+  simd::select(before);
+}
+
 TEST(FftPlan, PoissonSolverFieldHasZeroMeanPotentialGradientStructure) {
   // ψ from a pure cos(w_u x)cos(w_v y) density must come back scaled by
-  // 1/(w_u² + w_v²) — the spectral scale fused into the column pass.
+  // 1/(w_u² + w_v²) — the solver's row-major spectral scale pass.
   constexpr int kM = 32;
   constexpr std::size_t kN = static_cast<std::size_t>(kM) * kM;
   std::vector<double> rho(kN);
