@@ -47,7 +47,9 @@
 #               where stale pointers/uninitialized reads would hide, and the
 #               SIMD kernels' masked heads/tails are exactly where
 #               out-of-bounds lanes would hide, so the guardian and SIMD
-#               parity suites run memory-clean under ASan+UBSan
+#               parity suites run memory-clean under ASan+UBSan; so does
+#               test_io, whose seeded mutation fuzzer feeds the Bookshelf
+#               reader hostile bytes (ctest -L fuzz)
 #   tsan        -DXPLACE_SANITIZE=thread build, shared-state tests
 #               (ctest -L concurrency) plus the end-to-end demo on the
 #               threadpool backend — the full GP/LG/DP flow must be
@@ -510,7 +512,7 @@ run_faultinject() {
 
 run_asan_ubsan() {
   build build-asan -DXPLACE_SANITIZE=address,undefined
-  ctest --test-dir build-asan --output-on-failure -L "faultinject|simd"
+  ctest --test-dir build-asan --output-on-failure -L "faultinject|simd|fuzz"
 }
 
 run_tsan() {

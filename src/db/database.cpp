@@ -44,11 +44,10 @@ int Database::add_cell(std::string name, double width, double height,
   if (width < 0.0 || height < 0.0) {
     throw std::invalid_argument("cell '" + name + "' has negative size");
   }
-  if (build_.cell_index.count(name) != 0) {
+  const int id = static_cast<int>(build_.cell_names.size());
+  if (!build_.cell_index.try_emplace(name, id).second) {
     throw std::invalid_argument("duplicate cell name '" + name + "'");
   }
-  const int id = static_cast<int>(build_.cell_names.size());
-  build_.cell_index.emplace(name, id);
   build_.cell_names.push_back(std::move(name));
   build_.widths.push_back(width);
   build_.heights.push_back(height);
@@ -129,9 +128,8 @@ void Database::finalize() {
     build_.cell_fence.resize(n, -1);
     permute(build_.cell_fence);
   }
-  build_.cell_index.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    build_.cell_index.emplace(build_.cell_names[i], static_cast<int>(i));
+  for (auto& entry : build_.cell_index) {
+    entry.second = static_cast<int>(old_to_new[entry.second]);
   }
 
   build_.num_movable = static_cast<std::size_t>(

@@ -5,9 +5,12 @@
 //   * .nodes   "name width height [terminal]"
 //   * .nets    "NetDegree : k [name]" followed by "cell I/O/B : ox oy" pin
 //              lines with offsets measured from the *cell center*
-//   * .pl      "name x y : orient [/FIXED]" with (x, y) the *lower-left* corner
+//   * .pl      "name x y : orient [/FIXED]" with (x, y) the *lower-left* corner;
+//              only the tokens after "name x y" are flags
 //   * .scl     CoreRow blocks
-// Comments (#...) and blank lines are ignored everywhere.
+// Comments (#...) and blank lines are ignored everywhere. Numbers are finite
+// decimals (std::from_chars, an optional leading '+'); counts from the file
+// are range-checked and never size an allocation (DESIGN.md §17).
 //
 // The writer emits files the reader round-trips exactly (modulo float
 // formatting), so placements can be exchanged with external bookshelf tools.
@@ -23,8 +26,8 @@
 namespace xplace::io {
 
 /// Parse a design given the path to its .aux file. Throws std::runtime_error
-/// with a file/line diagnostic on malformed input. The returned database is
-/// finalized (fillers not inserted).
+/// naming the file (and line, where there is one) on any malformed input.
+/// The returned database is finalized (fillers not inserted).
 db::Database read_bookshelf_aux(const std::string& aux_path);
 
 /// FNV-1a content hash over the .aux file's bytes plus the bytes of every
@@ -35,7 +38,9 @@ db::Database read_bookshelf_aux(const std::string& aux_path);
 std::uint64_t hash_bookshelf_aux(const std::string& aux_path);
 
 /// Parse + hash in one step: an immutable content-addressed snapshot that can
-/// back many concurrent runs copy-on-write (see db::DesignSnapshot).
+/// back many concurrent runs copy-on-write (see db::DesignSnapshot). Each file
+/// is read once, and content_hash is hash_bookshelf_aux's FNV-1a over exactly
+/// the bytes parsed.
 std::shared_ptr<const db::DesignSnapshot> read_bookshelf_snapshot(
     const std::string& aux_path);
 
@@ -49,7 +54,8 @@ void write_bookshelf(const db::Database& db, const std::string& directory,
 void write_pl(const db::Database& db, const std::string& path);
 
 /// Overwrite positions in `db` from a .pl file (cells matched by name;
-/// unknown names are an error).
+/// an unknown name is a positioned error, and a file that fails changes no
+/// position).
 void read_pl_into(db::Database& db, const std::string& path);
 
 }  // namespace xplace::io
