@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ops/parallel.h"
 #include "ops/wirelength.h"
 #include "telemetry/trace.h"
 #include "tensor/dispatch.h"
@@ -123,15 +122,9 @@ void GradientEngine::wirelength_pass(const float* x, const float* y,
   }
 
   if (cfg_.op_reduction && cfg_.op_combination) {
-    // Backend switch: same fat kernel (and launch name) either way; the pool
-    // variant partitions nets across workers with slot-ordered reduction.
-    ThreadPool* pool = pool_or_null();
     const ops::WirelengthSums sums =
-        pool != nullptr
-            ? ops::fused_wl_grad_hpwl_mt(view_, x, y, gamma, wl_grad_x_.data(),
-                                         wl_grad_y_.data(), *pool)
-            : ops::fused_wl_grad_hpwl(view_, x, y, gamma, wl_grad_x_.data(),
-                                      wl_grad_y_.data());
+        ops::fused_wl_grad_hpwl(view_, x, y, gamma, wl_grad_x_.data(),
+                                wl_grad_y_.data(), pool_or_null());
     res.wa_wl = sums.wa;
     res.hpwl = sums.hpwl;
   } else if (cfg_.op_reduction) {
@@ -165,23 +158,11 @@ void GradientEngine::density_pass_fenced(const float* x, const float* y,
     disp.run("density.fence_copy_blockage_", [&] {
       std::copy(sys.blockage.begin(), sys.blockage.end(), sys.map.begin());
     });
-    if (pool != nullptr) {
-      ops::accumulate_cells_mt(grid_, "density.fence_movable", x, y,
-                               sys.movable, sys.map.data(), /*clear=*/false,
-                               *pool);
-    } else {
-      grid_.accumulate_cells("density.fence_movable", x, y, sys.movable,
-                             sys.map.data(), /*clear=*/false);
-    }
+    grid_.accumulate_cells("density.fence_movable", x, y, sys.movable,
+                           sys.map.data(), /*clear=*/false, pool);
     over_area += grid_.overflow_area(sys.map.data());
-    if (pool != nullptr) {
-      ops::accumulate_cells_mt(grid_, "density.fence_filler", x, y,
-                               sys.fillers, sys.map.data(), /*clear=*/false,
-                               *pool);
-    } else {
-      grid_.accumulate_cells("density.fence_filler", x, y, sys.fillers,
-                             sys.map.data(), /*clear=*/false);
-    }
+    grid_.accumulate_cells("density.fence_filler", x, y, sys.fillers,
+                           sys.map.data(), /*clear=*/false, pool);
     solver_.solve(sys.map.data(), /*want_potential=*/!cfg_.op_reduction);
     std::vector<double>& ex = solver_.mutable_ex();
     std::vector<double>& ey = solver_.mutable_ey();
@@ -193,21 +174,12 @@ void GradientEngine::density_pass_fenced(const float* x, const float* y,
       guidance_->blend(sys.map.data(), grid_.m(), grid_.bin_w(), grid_.bin_h(),
                        omega, r_prev, ex, ey);
     }
-    if (pool != nullptr) {
-      ops::gather_field_cells_mt(grid_, "dgrad.fence_gather_movable", x, y,
-                                 sys.movable, ex.data(), ey.data(), -1.0f,
-                                 dgrad_x_.data(), dgrad_y_.data(), *pool);
-      ops::gather_field_cells_mt(grid_, "dgrad.fence_gather_filler", x, y,
-                                 sys.fillers, ex.data(), ey.data(), -1.0f,
-                                 dgrad_x_.data(), dgrad_y_.data(), *pool);
-    } else {
-      grid_.gather_field_cells("dgrad.fence_gather_movable", x, y, sys.movable,
-                               ex.data(), ey.data(), -1.0f, dgrad_x_.data(),
-                               dgrad_y_.data());
-      grid_.gather_field_cells("dgrad.fence_gather_filler", x, y, sys.fillers,
-                               ex.data(), ey.data(), -1.0f, dgrad_x_.data(),
-                               dgrad_y_.data());
-    }
+    grid_.gather_field_cells("dgrad.fence_gather_movable", x, y, sys.movable,
+                             ex.data(), ey.data(), -1.0f, dgrad_x_.data(),
+                             dgrad_y_.data(), pool);
+    grid_.gather_field_cells("dgrad.fence_gather_filler", x, y, sys.fillers,
+                             ex.data(), ey.data(), -1.0f, dgrad_x_.data(),
+                             dgrad_y_.data(), pool);
   }
   res.overflow = db_.total_movable_area() > 0.0
                      ? over_area / db_.total_movable_area()
@@ -229,17 +201,10 @@ void GradientEngine::density_pass(const float* x, const float* y,
   if (cfg_.op_extraction) {
     // D (movable + fixed) once; filler map separately; D̃ via one add; OVFL
     // reuses D.
-    if (pool != nullptr) {
-      ops::accumulate_range_mt(grid_, "density.map_physical", x, y, 0,
-                               n_physical_, dmap_.data(), true, *pool);
-      ops::accumulate_range_mt(grid_, "density.map_filler", x, y, n_physical_,
-                               n_total_, dmap_fl_.data(), true, *pool);
-    } else {
-      grid_.accumulate_range("density.map_physical", x, y, 0, n_physical_,
-                             dmap_.data(), true);
-      grid_.accumulate_range("density.map_filler", x, y, n_physical_, n_total_,
-                             dmap_fl_.data(), true);
-    }
+    grid_.accumulate_range("density.map_physical", x, y, 0, n_physical_,
+                           dmap_.data(), true, pool);
+    grid_.accumulate_range("density.map_filler", x, y, n_physical_, n_total_,
+                           dmap_fl_.data(), true, pool);
     disp.run("density.add_maps_", [&] {
       for (std::size_t b = 0; b < dmap_.size(); ++b)
         dmap_total_[b] = dmap_[b] + dmap_fl_[b];
@@ -248,17 +213,10 @@ void GradientEngine::density_pass(const float* x, const float* y,
     // Joint accumulation for the electrostatic map AND a second scatter of
     // the physical cells for the overflow metric (the redundancy extraction
     // removes).
-    if (pool != nullptr) {
-      ops::accumulate_range_mt(grid_, "density.map_joint", x, y, 0, n_total_,
-                               dmap_total_.data(), true, *pool);
-      ops::accumulate_range_mt(grid_, "density.map_overflow", x, y, 0,
-                               n_physical_, dmap_.data(), true, *pool);
-    } else {
-      grid_.accumulate_range("density.map_joint", x, y, 0, n_total_,
-                             dmap_total_.data(), true);
-      grid_.accumulate_range("density.map_overflow", x, y, 0, n_physical_,
-                             dmap_.data(), true);
-    }
+    grid_.accumulate_range("density.map_joint", x, y, 0, n_total_,
+                           dmap_total_.data(), true, pool);
+    grid_.accumulate_range("density.map_overflow", x, y, 0, n_physical_,
+                           dmap_.data(), true, pool);
   }
   res.overflow = grid_.overflow(dmap_.data());
 
@@ -290,20 +248,11 @@ void GradientEngine::density_pass(const float* x, const float* y,
   // Unweighted density gradient ∂U/∂x = −q·E; movable cells and fillers.
   XP_TRACE_SCOPE("gp.phase.field");
   ScopedTimer field_timer(phase_timers_, "gp.phase.field");
-  if (pool != nullptr) {
-    ops::gather_field_mt(grid_, "dgrad.gather_movable", x, y, 0, n_movable_,
-                         ex.data(), ey.data(), -1.0f, dgrad_x_.data(),
-                         dgrad_y_.data(), *pool);
-    ops::gather_field_mt(grid_, "dgrad.gather_filler", x, y, n_physical_,
-                         n_total_, ex.data(), ey.data(), -1.0f,
-                         dgrad_x_.data(), dgrad_y_.data(), *pool);
-  } else {
-    grid_.gather_field("dgrad.gather_movable", x, y, 0, n_movable_, ex.data(),
-                       ey.data(), -1.0f, dgrad_x_.data(), dgrad_y_.data());
-    grid_.gather_field("dgrad.gather_filler", x, y, n_physical_, n_total_,
-                       ex.data(), ey.data(), -1.0f, dgrad_x_.data(),
-                       dgrad_y_.data());
-  }
+  grid_.gather_field("dgrad.gather_movable", x, y, 0, n_movable_, ex.data(),
+                     ey.data(), -1.0f, dgrad_x_.data(), dgrad_y_.data(), pool);
+  grid_.gather_field("dgrad.gather_filler", x, y, n_physical_, n_total_,
+                     ex.data(), ey.data(), -1.0f, dgrad_x_.data(),
+                     dgrad_y_.data(), pool);
 }
 
 void GradientEngine::save_state(StateBlob& out) const {

@@ -66,9 +66,9 @@ struct GradientResult {
 
 class GradientEngine {
  public:
-  /// `exec` selects the execution backend for the heavy kernels (null or
-  /// serial → the historical single-threaded path, bit for bit). Not owned;
-  /// must outlive the engine.
+  /// `exec` supplies the pool the heavy kernels may fan out onto (null, or a
+  /// context without a pool → the historical single-threaded path, bit for
+  /// bit). Not owned; must outlive the engine.
   GradientEngine(const db::Database& db, const PlacerConfig& cfg,
                  const ExecutionContext* exec = nullptr);
 
@@ -109,9 +109,9 @@ class GradientEngine {
                            GradientResult& res, double omega);
   void build_fence_systems();
 
-  /// The pool to fan kernels onto, or null for the serial backend.
+  /// The pool the kernels may fan out onto, or null for the serial backend.
   ThreadPool* pool_or_null() const {
-    return exec_ != nullptr && exec_->parallel() ? exec_->pool() : nullptr;
+    return exec_ != nullptr ? exec_->pool() : nullptr;
   }
 
   const db::Database& db_;

@@ -41,8 +41,10 @@ void Database::require_builder() const {
 int Database::add_cell(std::string name, double width, double height,
                        CellKind kind) {
   require_builder();
-  if (width < 0.0 || height < 0.0) {
-    throw std::invalid_argument("cell '" + name + "' has negative size");
+  if (!std::isfinite(width) || !std::isfinite(height) || width < 0.0 ||
+      height < 0.0) {
+    throw std::invalid_argument("cell '" + name +
+                                "' has negative or non-finite size");
   }
   const int id = static_cast<int>(build_.cell_names.size());
   if (!build_.cell_index.try_emplace(name, id).second) {

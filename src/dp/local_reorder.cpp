@@ -128,8 +128,7 @@ PassStats local_reorder_pass(db::Database& db, int window,
     sy[c] = db.y(c);
   }
 
-  ThreadPool* pool =
-      exec != nullptr && exec->parallel() ? exec->pool() : nullptr;
+  ThreadPool* pool = exec != nullptr ? exec->pool() : nullptr;
   if (pool == nullptr) {
     // Serial: rows in order, each row's accepts visible to the next
     // (historical behavior — sx doubles as the live position array and is

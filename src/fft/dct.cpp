@@ -85,11 +85,10 @@ thread_local PlanScratch tl_scratch;
 void run2d(double* data, std::size_t rows, std::size_t cols, Kind1D row_kind,
            Kind1D col_kind, ThreadPool* pool) {
   assert(is_pow2(rows) && is_pow2(cols));
-  ThreadPool* p = (pool != nullptr && pool->size() > 1) ? pool : nullptr;
   const PassOp row_op{data, data, row_kind};
-  run_rows(&row_op, 1, rows, cols, p, tl_scratch);
+  run_rows(&row_op, 1, rows, cols, pool, tl_scratch);
   const PassOp col_op{data, data, col_kind};
-  run_cols(&col_op, 1, rows, cols, p, tl_scratch);
+  run_cols(&col_op, 1, rows, cols, pool, tl_scratch);
 }
 
 }  // namespace

@@ -86,8 +86,7 @@ LegalizeStats abacus_legalize(db::Database& db, const ExecutionContext* exec,
   Stopwatch watch;
   LegalizeStats stats;
   stats.hpwl_before = db.hpwl();
-  ThreadPool* pool =
-      exec != nullptr && exec->parallel() ? exec->pool() : nullptr;
+  ThreadPool* pool = exec != nullptr ? exec->pool() : nullptr;
 
   RowMap rows(db);
   std::vector<std::vector<SegmentState>> state(rows.num_rows());

@@ -25,6 +25,10 @@
 #include "db/database.h"
 #include "util/simd.h"
 
+namespace xplace {
+class ThreadPool;
+}
+
 namespace xplace::ops {
 
 class DensityGrid {
@@ -41,16 +45,19 @@ class DensityGrid {
 
   /// Scatter cells [begin, end) into `map` (adds; optionally clears first).
   /// Positions are center coordinates indexed by cell id. One kernel launch
-  /// under `opname`.
+  /// under `opname`. With a pool of two or more workers and at least 512
+  /// cells, the cells are split into one contiguous partition per worker,
+  /// each scattered into a private map, and every bin folds its partitions
+  /// in slot order: bitwise-deterministic for a fixed worker count.
   void accumulate_range(const char* opname, const float* x, const float* y,
                         std::size_t begin, std::size_t end, double* map,
-                        bool clear) const;
+                        bool clear, ThreadPool* pool = nullptr) const;
 
   /// Scatter an explicit list of cells (multi-electrostatics: the members of
-  /// one fence region's system). One kernel launch.
+  /// one fence region's system). One kernel launch, pooled as above.
   void accumulate_cells(const char* opname, const float* x, const float* y,
                         const std::vector<std::uint32_t>& cells, double* map,
-                        bool clear) const;
+                        bool clear, ThreadPool* pool = nullptr) const;
 
   /// Overflow ratio (Equation (7)) from the physical-cell density map D.
   /// One kernel launch.
@@ -63,17 +70,21 @@ class DensityGrid {
   /// Gather a field map to per-cell gradients:
   ///   grad[c] += coeff * Σ_b overlap(c,b)/A_b * E_b * A_c_scale
   /// for cells [begin, end). Uses the same (smoothed) footprints as the
-  /// scatter, making the gather the exact adjoint. One kernel launch.
+  /// scatter, making the gather the exact adjoint. One kernel launch; with a
+  /// pool the cells are chunked across its workers, and since each cell owns
+  /// its gradient slot the result is bitwise-equal to the inline loop.
   void gather_field(const char* opname, const float* x, const float* y,
                     std::size_t begin, std::size_t end, const double* ex,
                     const double* ey, float coeff, float* grad_x,
-                    float* grad_y) const;
+                    float* grad_y, ThreadPool* pool = nullptr) const;
 
-  /// Gather for an explicit cell list (fence-region systems).
+  /// Gather for an explicit cell list (fence-region systems; the lists are
+  /// disjoint, so pooled writes stay per cell).
   void gather_field_cells(const char* opname, const float* x, const float* y,
                           const std::vector<std::uint32_t>& cells,
                           const double* ex, const double* ey, float coeff,
-                          float* grad_x, float* grad_y) const;
+                          float* grad_x, float* grad_y,
+                          ThreadPool* pool = nullptr) const;
 
   double target_density() const { return target_density_; }
 
@@ -81,9 +92,31 @@ class DensityGrid {
   /// scaled cell area scattered into it).
   double total_area(const double* map) const;
 
+ private:
+  /// Scatter and gather over the cells cell_at(i) for i in [0, count):
+  /// `begin + i` for a range, `cells[i]` for a list. They launch the op and
+  /// decide whether to fan out; the *_span bodies do the per-cell work for
+  /// i in [lo, hi), inline or inside one pooled task.
+  template <typename CellAt>
+  void scatter(const char* opname, CellAt cell_at, std::size_t count,
+               const float* x, const float* y, double* map, bool clear,
+               ThreadPool* pool) const;
+  template <typename CellAt>
+  void scatter_span(const simd::Kernels& k, CellAt cell_at, std::size_t lo,
+                    std::size_t hi, const float* x, const float* y,
+                    double* out) const;
+  template <typename CellAt>
+  void gather(const char* opname, CellAt cell_at, std::size_t count,
+              const float* x, const float* y, const double* ex,
+              const double* ey, float coeff, float* grad_x, float* grad_y,
+              ThreadPool* pool) const;
+  template <typename CellAt>
+  void gather_span(const simd::Kernels& k, CellAt cell_at, std::size_t lo,
+                   std::size_t hi, const float* x, const float* y,
+                   const double* ex, const double* ey, float coeff,
+                   float* grad_x, float* grad_y) const;
+
   /// Visits every (bin, overlap_area) pair of a cell's (smoothed) footprint.
-  /// Public so the multi-threaded kernel variants (ops/parallel.h) can reuse
-  /// the exact same footprint math.
   template <typename Fn>
   void for_each_overlap(std::size_t cell, const float* x, const float* y,
                         Fn&& fn) const {
@@ -163,11 +196,6 @@ class DensityGrid {
     }
   }
 
-  /// Per-cell density weight (smoothing ratio, or target density for fixed).
-  double cell_density_scale(std::size_t cell) const { return dens_scale_[cell]; }
-  double inv_bin_area() const { return inv_bin_area_; }
-
- private:
   int m_;
   double region_lx_, region_ly_;
   double bin_w_, bin_h_;

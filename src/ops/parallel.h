@@ -1,28 +1,11 @@
-// Multi-threaded variants of the heavy placement kernels.
+// Pooled-kernel names kept for the benchmark's kernel attribution
+// (perfbench/attribution.cpp), which calls them by these names.
 //
-// The GPU placer distributes per-net / per-cell work across CUDA threads; on
-// a multi-core host the same kernels are statically partitioned across a
-// ThreadPool:
-//   * nets are split into one contiguous range per worker; each worker
-//     scatters gradients into its own buffer; buffers are reduced in worker
-//     order — results are bitwise-deterministic for a fixed pool size and
-//     agree with the serial kernels to float accumulation order,
-//   * the density scatter uses per-worker bin maps (reduced the same way),
-//   * the field gather is embarrassingly parallel (each cell's gradient slot
-//     is written by exactly one worker).
-//
-// Workers never share a cache line in a hot loop: per-partition scalars (the
-// WA and HPWL sums) accumulate in locals and are stored to their slot array
-// once per partition, and the per-slot gradient buffers and bin maps are
-// separate allocations (DESIGN.md §9).
-//
-// Each *_mt call still counts as one dispatcher launch: it models one fat
-// kernel, not many. The fused wirelength kernel launches under the SAME op
-// name as its serial twin ("fused_wl_grad_hpwl") — the backend choice changes
-// how the kernel runs, not which kernel runs, so launch-count contracts hold
-// for either backend. Per-partition scratch persists across launches
-// (thread_local to the caller) and is zeroed inside each partition's own
-// task, keeping the steady-state path allocation-free.
+// Each GP kernel has one entry point that takes an optional ThreadPool and
+// decides inside whether to fan out: ops::fused_wl_grad_hpwl,
+// DensityGrid::accumulate_range/accumulate_cells and
+// DensityGrid::gather_field/gather_field_cells. New code calls those
+// directly; these forwarders only pass the pool through.
 #pragma once
 
 #include "ops/density.h"
@@ -32,37 +15,27 @@
 
 namespace xplace::ops {
 
-/// Parallel fused WA-wirelength + gradient + HPWL (operator combination).
-WirelengthSums fused_wl_grad_hpwl_mt(const NetlistView& view, const float* x,
-                                     const float* y, float gamma,
-                                     float* grad_x, float* grad_y,
-                                     ThreadPool& pool);
+inline WirelengthSums fused_wl_grad_hpwl_mt(const NetlistView& view,
+                                            const float* x, const float* y,
+                                            float gamma, float* grad_x,
+                                            float* grad_y, ThreadPool& pool) {
+  return fused_wl_grad_hpwl(view, x, y, gamma, grad_x, grad_y, &pool);
+}
 
-/// Parallel density scatter of cells [begin, end) into `map`.
-void accumulate_range_mt(const DensityGrid& grid, const char* opname,
-                         const float* x, const float* y, std::size_t begin,
-                         std::size_t end, double* map, bool clear,
-                         ThreadPool& pool);
+inline void accumulate_range_mt(const DensityGrid& grid, const char* opname,
+                                const float* x, const float* y,
+                                std::size_t begin, std::size_t end,
+                                double* map, bool clear, ThreadPool& pool) {
+  grid.accumulate_range(opname, x, y, begin, end, map, clear, &pool);
+}
 
-/// Parallel density scatter of an explicit cell list (the members of one
-/// fence-region system in the multi-electrostatics path).
-void accumulate_cells_mt(const DensityGrid& grid, const char* opname,
-                         const float* x, const float* y,
-                         const std::vector<std::uint32_t>& cells, double* map,
-                         bool clear, ThreadPool& pool);
-
-/// Parallel field gather (adjoint of the scatter).
-void gather_field_mt(const DensityGrid& grid, const char* opname,
-                     const float* x, const float* y, std::size_t begin,
-                     std::size_t end, const double* ex, const double* ey,
-                     float coeff, float* grad_x, float* grad_y,
-                     ThreadPool& pool);
-
-/// Parallel field gather for an explicit cell list (fence-region systems).
-void gather_field_cells_mt(const DensityGrid& grid, const char* opname,
-                           const float* x, const float* y,
-                           const std::vector<std::uint32_t>& cells,
-                           const double* ex, const double* ey, float coeff,
-                           float* grad_x, float* grad_y, ThreadPool& pool);
+inline void gather_field_mt(const DensityGrid& grid, const char* opname,
+                            const float* x, const float* y, std::size_t begin,
+                            std::size_t end, const double* ex,
+                            const double* ey, float coeff, float* grad_x,
+                            float* grad_y, ThreadPool& pool) {
+  grid.gather_field(opname, x, y, begin, end, ex, ey, coeff, grad_x, grad_y,
+                    &pool);
+}
 
 }  // namespace xplace::ops

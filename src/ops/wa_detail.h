@@ -1,5 +1,6 @@
-// Internal per-net helpers shared by the serial and parallel WA wirelength
-// kernels. Not part of the public API.
+// Internal per-net helpers of the WA wirelength kernels (ops/wirelength.cpp),
+// used by the inline and the partitioned paths alike. Not part of the public
+// API.
 #pragma once
 
 #include <algorithm>

@@ -20,6 +20,10 @@
 
 #include "ops/netlist_view.h"
 
+namespace xplace {
+class ThreadPool;
+}
+
 namespace xplace::ops {
 
 struct WirelengthSums {
@@ -28,9 +32,14 @@ struct WirelengthSums {
 };
 
 /// One fused kernel: WA wirelength + gradient + HPWL (operator combination).
+/// With a pool of two or more workers and at least 256 nets, the nets are
+/// split into one contiguous partition per worker, each scattering into a
+/// private gradient buffer; every cell then folds the partitions in slot
+/// order, and so do the two sums: bitwise-deterministic for a fixed worker
+/// count. Below that, the nets run inline in net order.
 WirelengthSums fused_wl_grad_hpwl(const NetlistView& view, const float* x,
                                   const float* y, float gamma, float* grad_x,
-                                  float* grad_y);
+                                  float* grad_y, ThreadPool* pool = nullptr);
 
 /// WA wirelength only (separate kernel, own min/max scan).
 double wa_wirelength(const NetlistView& view, const float* x, const float* y,

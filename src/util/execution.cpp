@@ -1,6 +1,7 @@
 #include "util/execution.h"
 
 #include <cstdlib>
+#include <thread>
 
 #include "telemetry/metrics.h"
 #include "util/simd.h"
@@ -8,25 +9,22 @@
 namespace xplace {
 
 ExecutionContext ExecutionContext::threaded(std::size_t threads) {
+  if (threads == 0) threads = std::thread::hardware_concurrency();
   ExecutionContext ctx;
-  ctx.pool_ = std::make_shared<ThreadPool>(threads);
-  // A pool of 1 is the caller thread alone: keep the serial tag so callers
-  // asking backend() see the truth (parallel() is false either way).
-  ctx.backend_ = ctx.pool_->size() > 1 ? ExecBackend::kThreadPool
-                                       : ExecBackend::kSerial;
+  // One worker is the caller thread alone: that is the serial backend.
+  if (threads > 1) ctx.pool_ = std::make_shared<ThreadPool>(threads);
   return ctx;
 }
 
 ExecutionContext ExecutionContext::from_env() {
   if (const char* env = std::getenv("XPLACE_THREADS")) {
     const long v = std::strtol(env, nullptr, 10);
-    if (v > 1) {
+    if (v > 1 && ThreadPool::global().size() > 1) {
       // Borrow the process-wide pool (sized from the same env var) instead of
       // spawning a fresh one per placer: one shared pool for the flow. If two
       // flow threads ever dispatch concurrently, parallel_for serializes the
       // loser inline rather than racing the task slot (see thread_pool.h).
       ExecutionContext ctx;
-      ctx.backend_ = ExecBackend::kThreadPool;
       ctx.pool_ = std::shared_ptr<ThreadPool>(&ThreadPool::global(),
                                               [](ThreadPool*) {});
       return ctx;
@@ -44,8 +42,7 @@ ExecutionContext ExecutionContext::from_threads(int threads) {
 
 void ExecutionContext::publish(telemetry::Registry& registry) const {
   registry.gauge("exec.threads").set(static_cast<double>(threads()));
-  registry.gauge("exec.backend")
-      .set(backend_ == ExecBackend::kThreadPool ? 1.0 : 0.0);
+  registry.gauge("exec.backend").set(pool_ ? 1.0 : 0.0);
   simd::publish(registry);  // exec.simd.isa: 0 = scalar, 2 = AVX2
   if (pool_ == nullptr) return;
   const ThreadPool::Stats s = pool_->stats();

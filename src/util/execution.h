@@ -1,25 +1,26 @@
 // Pluggable execution backend for the placement flow.
 //
 // The paper's placer owes its speed to massively parallel per-net/per-cell
-// GPU kernels; this CPU reproduction carries the same kernels in serial and
-// ThreadPool-partitioned (`*_mt`) form. An ExecutionContext names which of
-// the two backends a flow runs on and owns the one shared ThreadPool every
-// layer dispatches onto:
+// GPU kernels; this CPU reproduction fans the same kernels out over a
+// ThreadPool. An ExecutionContext is a pool or nothing: it owns (or borrows)
+// the one ThreadPool every layer dispatches onto, and holds none below two
+// workers. Each layer passes `pool()` to one entry point per op, and the op
+// decides inside whether to fan out:
 //
 //   GlobalPlacer ──▶ GradientEngine ──▶ ops kernels (scatter/gather/fused WA)
 //                └─▶ PoissonSolver  ──▶ fft 2-D transforms
 //   abacus_legalize / detailed_place (passed explicitly by the driver)
 //
 // Determinism contract (see DESIGN.md §9):
-//   * serial backend: bitwise-identical to the historical single-threaded
-//     flow — it runs the exact same code paths,
-//   * threadpool backend: bitwise-deterministic run-to-run for a fixed
-//     thread count (all reductions are worker- or slot-ordered), and equal
-//     to serial up to float accumulation order.
+//   * no pool: bitwise-identical to the historical single-threaded flow —
+//     every op runs its inline path,
+//   * a pool: bitwise-deterministic run-to-run for a fixed thread count (all
+//     reductions are worker- or slot-ordered), and equal to serial up to
+//     float accumulation order.
 //
-// Contexts are cheap value types (a backend tag + a shared_ptr pool); copies
-// share the pool. The flow-level selection comes from `--threads N` or the
-// XPLACE_THREADS env var via from_threads()/from_env().
+// Contexts are cheap value types (a shared_ptr pool); copies share the pool.
+// The flow-level selection comes from `--threads N` or the XPLACE_THREADS env
+// var via from_threads()/from_env().
 #pragma once
 
 #include <cstddef>
@@ -33,17 +34,16 @@ class Registry;
 
 namespace xplace {
 
-enum class ExecBackend { kSerial, kThreadPool };
-
 class ExecutionContext {
  public:
-  /// Default-constructed context is the serial backend.
+  /// Default-constructed context is the serial backend (no pool).
   ExecutionContext() = default;
 
   static ExecutionContext serial() { return ExecutionContext(); }
 
   /// Threadpool backend with an owned pool of `threads` workers
-  /// (0 = hardware concurrency). A pool of 1 degenerates to serial.
+  /// (0 = hardware concurrency). Fewer than two workers is the serial
+  /// backend: no pool is built.
   static ExecutionContext threaded(std::size_t threads = 0);
 
   /// Backend from the XPLACE_THREADS env var: > 1 selects the threadpool
@@ -57,18 +57,12 @@ class ExecutionContext {
   ///   <0 → threadpool sized to hardware concurrency
   static ExecutionContext from_threads(int threads);
 
-  ExecBackend backend() const { return backend_; }
-  const char* backend_name() const {
-    return backend_ == ExecBackend::kSerial ? "serial" : "threadpool";
-  }
+  const char* backend_name() const { return pool_ ? "threadpool" : "serial"; }
 
   /// Worker count the backend executes with (1 for serial).
   std::size_t threads() const { return pool_ ? pool_->size() : 1; }
 
-  /// True when kernels should route to their `*_mt` variants.
-  bool parallel() const { return pool_ != nullptr && pool_->size() > 1; }
-
-  /// The shared pool, or nullptr on the serial backend.
+  /// The shared pool (two or more workers), or nullptr on the serial backend.
   ThreadPool* pool() const { return pool_.get(); }
 
   /// Publishes backend configuration + pool utilization into `registry`:
@@ -77,7 +71,6 @@ class ExecutionContext {
   void publish(telemetry::Registry& registry) const;
 
  private:
-  ExecBackend backend_ = ExecBackend::kSerial;
   std::shared_ptr<ThreadPool> pool_;
 };
 

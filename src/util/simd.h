@@ -25,8 +25,8 @@
 //     within documented tolerances (vectorized exp: ≤2 ULP of expf on the WA
 //     input range (-87.3, 0]).
 //
-// The table composes under the ThreadPool: `*_mt` kernels partition work
-// across workers and each chunk runs vector lanes internally.
+// The table composes under the ThreadPool: a kernel given a pool partitions
+// its work across the workers, and each chunk runs vector lanes internally.
 #pragma once
 
 #include <cstddef>

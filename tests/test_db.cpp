@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "db/database.h"
@@ -156,6 +157,15 @@ TEST(Database, DoubleFillerInsertionThrows) {
 TEST(Database, BuilderErrors) {
   Database db;
   EXPECT_THROW(db.add_cell("bad", -1, 5, CellKind::kMovable), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    EXPECT_THROW(db.add_cell("bad", bad, 5, CellKind::kMovable),
+                 std::invalid_argument)
+        << "width " << bad;
+    EXPECT_THROW(db.add_cell("bad", 5, bad, CellKind::kMovable),
+                 std::invalid_argument)
+        << "height " << bad;
+  }
   db.add_cell("dup", 1, 1, CellKind::kMovable);
   EXPECT_THROW(db.add_cell("dup", 1, 1, CellKind::kMovable), std::invalid_argument);
   db.set_region({0, 0, 10, 10});

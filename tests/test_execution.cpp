@@ -2,24 +2,29 @@
 // exception propagation, ExecutionContext selection/publishing, bitwise
 // parallel 2-D transforms, serial-vs-threaded GP parity and run-to-run
 // determinism, bitwise-parallel Abacus legalization, worker-count-independent
-// local reordering, and guardian recovery on the threaded backend.
+// local reordering, the whole flow's bits pinned per thread count and SIMD
+// backend, and guardian recovery on the threaded backend.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/placer.h"
+#include "dp/detailed_placer.h"
 #include "dp/local_reorder.h"
 #include "fft/dct.h"
 #include "io/generator.h"
+#include "io/journal.h"
 #include "lg/abacus.h"
 #include "telemetry/metrics.h"
 #include "util/execution.h"
 #include "util/rng.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace xplace {
@@ -156,19 +161,24 @@ TEST(ThreadPoolEdge, StatsAccumulateAcrossDispatches) {
 
 TEST(ExecutionContextTest, FromThreadsSelectsBackends) {
   const ExecutionContext serial = ExecutionContext::from_threads(1);
-  EXPECT_EQ(serial.backend(), ExecBackend::kSerial);
-  EXPECT_FALSE(serial.parallel());
+  EXPECT_STREQ(serial.backend_name(), "serial");
   EXPECT_EQ(serial.threads(), 1u);
   EXPECT_EQ(serial.pool(), nullptr);
 
   const ExecutionContext threaded = ExecutionContext::from_threads(3);
-  EXPECT_EQ(threaded.backend(), ExecBackend::kThreadPool);
-  EXPECT_TRUE(threaded.parallel());
+  EXPECT_STREQ(threaded.backend_name(), "threadpool");
   EXPECT_EQ(threaded.threads(), 3u);
   ASSERT_NE(threaded.pool(), nullptr);
 
+  // One worker is the caller thread alone: no pool is built.
+  const ExecutionContext one = ExecutionContext::threaded(1);
+  EXPECT_STREQ(one.backend_name(), "serial");
+  EXPECT_EQ(one.threads(), 1u);
+  EXPECT_EQ(one.pool(), nullptr);
+
   const ExecutionContext hw = ExecutionContext::from_threads(-1);
   EXPECT_GE(hw.threads(), 1u);
+  EXPECT_EQ(hw.pool() != nullptr, hw.threads() > 1);
 }
 
 TEST(ExecutionContextTest, ZeroThreadsDefersToEnv) {
@@ -176,7 +186,7 @@ TEST(ExecutionContextTest, ZeroThreadsDefersToEnv) {
   const std::string saved_value = saved != nullptr ? saved : "";
   ::unsetenv("XPLACE_THREADS");
   const ExecutionContext ctx = ExecutionContext::from_threads(0);
-  EXPECT_EQ(ctx.backend(), ExecBackend::kSerial);
+  EXPECT_EQ(ctx.pool(), nullptr);
   if (saved != nullptr) ::setenv("XPLACE_THREADS", saved_value.c_str(), 1);
 }
 
@@ -189,6 +199,10 @@ TEST(ExecutionContextTest, PublishExportsBackendAndPoolStats) {
   EXPECT_DOUBLE_EQ(reg.gauge("exec.backend").value(), 1.0);
   EXPECT_GE(reg.counter("exec.pool.dispatches").value(), 1u);
   EXPECT_GE(reg.gauge("exec.pool.wall_seconds").value(), 0.0);
+
+  ExecutionContext::serial().publish(reg);
+  EXPECT_DOUBLE_EQ(reg.gauge("exec.threads").value(), 1.0);
+  EXPECT_DOUBLE_EQ(reg.gauge("exec.backend").value(), 0.0);
 }
 
 // ---------------- pooled 2-D transforms ----------------
@@ -337,6 +351,101 @@ TEST(ExecutionDP, LocalReorderSerialPathUnchangedWithNullExec) {
   for (std::size_t c = 0; c < db_a.num_movable(); ++c) {
     ASSERT_EQ(db_a.x(c), db_b.x(c)) << c;
   }
+}
+
+// ---------------- golden flow bits at each thread count ----------------
+
+/// GP → Abacus → DP on a generated ~1.5k-cell design at `threads` workers
+/// under the active SIMD backend, hashed with FNV-1a over the final x/y of
+/// every cell and the bits of GP's hpwl, overflow and iteration count.
+std::uint64_t golden_flow_hash(int threads, int fences) {
+  io::GeneratorSpec spec;
+  spec.name = "golden";
+  spec.num_cells = 1500;
+  spec.num_nets = 1650;
+  spec.num_fences = fences;
+  spec.seed = 41;
+  db::Database db = io::generate(spec);
+  core::PlacerConfig cfg = core::PlacerConfig::xplace();
+  cfg.grid_dim = 64;
+  cfg.max_iters = 150;
+  cfg.threads = threads;
+  core::GlobalPlacer placer(db, cfg);
+  const core::GlobalPlaceResult res = placer.run();
+  lg::abacus_legalize(db, &placer.execution());
+  dp::detailed_place(db, {}, &placer.execution());
+
+  std::vector<double> bits;
+  for (std::size_t c = 0; c < db.num_cells_total(); ++c) {
+    bits.push_back(db.x(c));
+    bits.push_back(db.y(c));
+  }
+  bits.push_back(res.hpwl);
+  bits.push_back(res.overflow);
+  bits.push_back(static_cast<double>(res.iterations));
+  return io::fnv1a64(reinterpret_cast<const char*>(bits.data()),
+                     bits.size() * sizeof(double));
+}
+
+/// One pinned flow: the ISA, fence count and thread count it runs at, and
+/// the hash it must reproduce.
+struct GoldenFlow {
+  const char* name;
+  simd::Isa isa;
+  int fences;
+  int threads;
+  std::uint64_t hash;
+};
+
+// Hashes of the flow as computed before the serial and pooled kernels shared
+// one entry point per op. Moving kernel code must keep them; a change that
+// alters kernel arithmetic on purpose (owner-computes scatter and WA,
+// snapshot-priced serial local reorder) re-baselines exactly these constants.
+// They pin the bits of this toolchain (GCC, glibc's libm): a new compiler or
+// libm may move them without any source change.
+constexpr std::uint64_t kGoldenScalarT1 = 0xe2fdc5acde4b9f1d;
+constexpr std::uint64_t kGoldenScalarT2 = 0xbd17da2ba47b9203;
+constexpr std::uint64_t kGoldenScalarT3 = 0x5d3a1b41142651ac;
+constexpr std::uint64_t kGoldenScalarT4 = 0xd2ec7a50e350c349;
+constexpr std::uint64_t kGoldenAvx2T1 = 0xc25fbde9b44396ee;
+constexpr std::uint64_t kGoldenAvx2T2 = 0xdc8eb1788380839f;
+constexpr std::uint64_t kGoldenAvx2T3 = 0xf8d8ac209976c8d1;
+constexpr std::uint64_t kGoldenAvx2T4 = 0xae43333810921900;
+constexpr std::uint64_t kGoldenFencedScalarT1 = 0x4c3685d9380618e8;
+constexpr std::uint64_t kGoldenFencedScalarT4 = 0xb386c95dce227190;
+constexpr std::uint64_t kGoldenFencedAvx2T1 = 0x4a87a155a36eb8ba;
+constexpr std::uint64_t kGoldenFencedAvx2T4 = 0x775d4c5354ca7f58;
+
+void expect_golden(const std::vector<GoldenFlow>& flows) {
+  const simd::Isa before = simd::isa();
+  for (const GoldenFlow& f : flows) {
+    if (f.isa == simd::Isa::kAvx2 && !simd::cpu_has_avx2()) continue;
+    simd::select(f.isa);
+    const std::uint64_t got = golden_flow_hash(f.threads, f.fences);
+    EXPECT_EQ(got, f.hash) << f.name << ": got 0x" << std::hex << got;
+  }
+  simd::select(before);
+}
+
+TEST(ExecutionGolden, FlowBitsPinnedAtEachThreadCount) {
+  expect_golden({{"kGoldenScalarT1", simd::Isa::kScalar, 0, 1, kGoldenScalarT1},
+                 {"kGoldenScalarT2", simd::Isa::kScalar, 0, 2, kGoldenScalarT2},
+                 {"kGoldenScalarT3", simd::Isa::kScalar, 0, 3, kGoldenScalarT3},
+                 {"kGoldenScalarT4", simd::Isa::kScalar, 0, 4, kGoldenScalarT4},
+                 {"kGoldenAvx2T1", simd::Isa::kAvx2, 0, 1, kGoldenAvx2T1},
+                 {"kGoldenAvx2T2", simd::Isa::kAvx2, 0, 2, kGoldenAvx2T2},
+                 {"kGoldenAvx2T3", simd::Isa::kAvx2, 0, 3, kGoldenAvx2T3},
+                 {"kGoldenAvx2T4", simd::Isa::kAvx2, 0, 4, kGoldenAvx2T4}});
+}
+
+TEST(ExecutionGolden, FencedFlowBitsPinnedAtOneAndFourThreads) {
+  // Fence systems are the only GP path that scatters and gathers explicit
+  // cell lists, so they pin the list kernels with and without a pool.
+  expect_golden(
+      {{"kGoldenFencedScalarT1", simd::Isa::kScalar, 2, 1, kGoldenFencedScalarT1},
+       {"kGoldenFencedScalarT4", simd::Isa::kScalar, 2, 4, kGoldenFencedScalarT4},
+       {"kGoldenFencedAvx2T1", simd::Isa::kAvx2, 2, 1, kGoldenFencedAvx2T1},
+       {"kGoldenFencedAvx2T4", simd::Isa::kAvx2, 2, 4, kGoldenFencedAvx2T4}});
 }
 
 // ---------------- guardian under the pool ----------------

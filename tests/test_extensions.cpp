@@ -1,4 +1,4 @@
-// Tests for the extension modules: multi-threaded kernels, visualization
+// Tests for the extension modules: pooled GP kernels, visualization
 // writers, .wts net weights, and congestion-driven inflation.
 #include <gtest/gtest.h>
 
@@ -6,13 +6,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "io/bookshelf.h"
 #include "io/generator.h"
 #include "io/plot.h"
 #include "ops/density.h"
-#include "ops/parallel.h"
+#include "ops/wirelength.h"
 #include "route/congestion.h"
 #include "route/inflation.h"
 #include "util/simd.h"
@@ -42,120 +43,201 @@ void get_positions(const db::Database& db, std::vector<float>& x,
   }
 }
 
-// ---------------- parallel kernels ----------------
+// ---------------- pooled kernels ----------------
 
-class ParallelKernels : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelKernels, FusedWirelengthMatchesSerial) {
-  const int threads = GetParam();
-  db::Database db = make_db();
-  const ops::NetlistView view = ops::build_netlist_view(db);
-  std::vector<float> x, y;
-  get_positions(db, x, y);
-
-  std::vector<float> gx_s(db.num_cells_total(), 0.0f), gy_s(db.num_cells_total(), 0.0f);
-  const ops::WirelengthSums serial =
-      ops::fused_wl_grad_hpwl(view, x.data(), y.data(), 6.0f, gx_s.data(), gy_s.data());
-
-  ThreadPool pool(threads);
-  std::vector<float> gx_p(db.num_cells_total(), 0.0f), gy_p(db.num_cells_total(), 0.0f);
-  const ops::WirelengthSums par = ops::fused_wl_grad_hpwl_mt(
-      view, x.data(), y.data(), 6.0f, gx_p.data(), gy_p.data(), pool);
-
-  EXPECT_NEAR(par.wa, serial.wa, 1e-6 * std::fabs(serial.wa));
-  EXPECT_NEAR(par.hpwl, serial.hpwl, 1e-6 * serial.hpwl);
-  float max_g = 0.0f;
-  for (float g : gx_s) max_g = std::max(max_g, std::fabs(g));
-  for (std::size_t c = 0; c < view.num_cells; ++c) {
-    EXPECT_NEAR(gx_p[c], gx_s[c], 1e-4f * max_g + 1e-6f) << c;
-    EXPECT_NEAR(gy_p[c], gy_s[c], 1e-4f * max_g + 1e-6f) << c;
-  }
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
-bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// The SIMD backends this CPU runs: scalar, and AVX2 where supported.
+std::vector<simd::Isa> cpu_isas() {
+  std::vector<simd::Isa> isas{simd::Isa::kScalar};
+  if (simd::cpu_has_avx2()) isas.push_back(simd::Isa::kAvx2);
+  return isas;
+}
+
+/// Each GP kernel's entry point with no pool (param 0) or a pool of 1–4
+/// workers (the param), against the same entry point called with no pool.
+class ParallelKernels : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    if (GetParam() > 0) owned_ = std::make_unique<ThreadPool>(GetParam());
+  }
+  ThreadPool* pool() const { return owned_.get(); }
+  /// At most one worker: every kernel must run its inline path.
+  bool inline_only() const { return GetParam() <= 1; }
+  std::string where(simd::Isa isa) const {
+    return std::string(simd::isa_name(isa)) + " at " +
+           std::to_string(GetParam()) + " workers";
+  }
+
+ private:
+  std::unique_ptr<ThreadPool> owned_;
+};
+
+TEST_P(ParallelKernels, FusedWirelengthMatchesSerial) {
+  db::Database db = make_db();
+  // 150 cells carry 210 nets: under the 256-net fan-out threshold, so the
+  // kernel runs inline at every pool size.
+  db::Database small = make_db(150, 73);
+  const simd::Isa before = simd::isa();
+  for (const simd::Isa isa : cpu_isas()) {
+    simd::select(isa);
+    for (const db::Database* d : {&db, &small}) {
+      const ops::NetlistView view = ops::build_netlist_view(*d);
+      const bool below = view.num_nets < 256;
+      std::vector<float> x, y;
+      get_positions(*d, x, y);
+      const std::size_t n = d->num_cells_total();
+      std::vector<float> gx_s(n, 0.0f), gy_s(n, 0.0f);
+      const ops::WirelengthSums serial = ops::fused_wl_grad_hpwl(
+          view, x.data(), y.data(), 6.0f, gx_s.data(), gy_s.data());
+      std::vector<float> gx_p(n, 0.0f), gy_p(n, 0.0f);
+      const ops::WirelengthSums par =
+          ops::fused_wl_grad_hpwl(view, x.data(), y.data(), 6.0f, gx_p.data(),
+                                  gy_p.data(), pool());
+      const std::string at = std::to_string(view.num_nets) + " nets, " +
+                             where(isa);
+      if (inline_only() || below) {
+        EXPECT_TRUE(same_bits(par.wa, serial.wa)) << at;
+        EXPECT_TRUE(same_bits(par.hpwl, serial.hpwl)) << at;
+        EXPECT_TRUE(same_bits(gx_p, gx_s)) << at;
+        EXPECT_TRUE(same_bits(gy_p, gy_s)) << at;
+        continue;
+      }
+      // Partitioned: equal up to float accumulation order (the bitwise
+      // contract is FusedWirelengthBitwiseMatchesSlotFoldedReference).
+      EXPECT_NEAR(par.wa, serial.wa, 1e-6 * std::fabs(serial.wa)) << at;
+      EXPECT_NEAR(par.hpwl, serial.hpwl, 1e-6 * serial.hpwl) << at;
+      float max_g = 0.0f;
+      for (float g : gx_s) max_g = std::max(max_g, std::fabs(g));
+      for (std::size_t c = 0; c < view.num_cells; ++c) {
+        EXPECT_NEAR(gx_p[c], gx_s[c], 1e-4f * max_g + 1e-6f) << c << ", " << at;
+        EXPECT_NEAR(gy_p[c], gy_s[c], 1e-4f * max_g + 1e-6f) << c << ", " << at;
+      }
+    }
+  }
+  simd::select(before);
 }
 
 TEST_P(ParallelKernels, DensityScatterMatchesSerial) {
-  const int threads = GetParam();
   db::Database db = make_db();
   ops::DensityGrid grid(db, 64);
   std::vector<float> x, y;
   get_positions(db, x, y);
   const std::size_t n = db.num_cells_total();
   // 511 cells and a 500-cell list: under the 512-cell fan-out threshold, so
-  // the pooled scatters run serially at every pool size.
+  // the scatters run inline at every pool size. Every other cell of the
+  // design is a list above it.
   const std::size_t lo = 100, hi = 611;
-  std::vector<std::uint32_t> cells;
-  for (std::uint32_t c = 0; c < 1000; c += 2) cells.push_back(c);
-  ASSERT_GT(n, 1000u);
+  std::vector<std::uint32_t> small_list, big_list;
+  for (std::uint32_t c = 0; c < 1000; c += 2) small_list.push_back(c);
+  for (std::uint32_t c = 1; c < n; c += 2) big_list.push_back(c);
+  ASSERT_GT(big_list.size(), 512u);
 
-  ThreadPool pool(threads);
+  // Equal bits where the scatter runs inline; otherwise equal up to the
+  // accumulation order of the slot-ordered fold.
+  const auto check = [&](const std::vector<double>& par,
+                         const std::vector<double>& serial, bool fans_out,
+                         const std::string& at) {
+    if (!fans_out) {
+      EXPECT_TRUE(same_bits(par, serial)) << at;
+      return;
+    }
+    for (std::size_t b = 0; b < grid.num_bins(); ++b) {
+      EXPECT_NEAR(par[b], serial[b], 1e-9 + 1e-9 * std::fabs(serial[b]))
+          << b << ", " << at;
+    }
+  };
   const simd::Isa before = simd::isa();
-  std::vector<simd::Isa> isas{simd::Isa::kScalar};
-  if (simd::cpu_has_avx2()) isas.push_back(simd::Isa::kAvx2);
-  for (const simd::Isa isa : isas) {
+  for (const simd::Isa isa : cpu_isas()) {
     simd::select(isa);
-    const std::string where = std::string(simd::isa_name(isa)) + " at " +
-                              std::to_string(threads) + " workers";
     std::vector<double> serial(grid.num_bins()), par(grid.num_bins());
     grid.accumulate_range("s", x.data(), y.data(), 0, n, serial.data(), true);
-    ops::accumulate_range_mt(grid, "p", x.data(), y.data(), 0, n, par.data(),
-                             true, pool);
-    if (threads == 1) {
-      EXPECT_TRUE(same_bits(par, serial)) << "full range, " << where;
-    } else {
-      for (std::size_t b = 0; b < grid.num_bins(); ++b) {
-        EXPECT_NEAR(par[b], serial[b], 1e-9 + 1e-9 * std::fabs(serial[b]))
-            << b << ", " << where;
-      }
-    }
+    grid.accumulate_range("p", x.data(), y.data(), 0, n, par.data(), true,
+                          pool());
+    check(par, serial, !inline_only(), "full range, " + where(isa));
 
     // Small range onto a nonzero map (clear = false).
     std::vector<double> small_s = serial, small_p = serial;
     grid.accumulate_range("s", x.data(), y.data(), lo, hi, small_s.data(),
                           false);
-    ops::accumulate_range_mt(grid, "p", x.data(), y.data(), lo, hi,
-                             small_p.data(), false, pool);
-    EXPECT_TRUE(same_bits(small_p, small_s)) << "511-cell range, " << where;
+    grid.accumulate_range("p", x.data(), y.data(), lo, hi, small_p.data(),
+                          false, pool());
+    check(small_p, small_s, false, "511-cell range, " + where(isa));
 
     std::vector<double> list_s(grid.num_bins()), list_p(grid.num_bins());
-    grid.accumulate_cells("s", x.data(), y.data(), cells, list_s.data(), true);
-    ops::accumulate_cells_mt(grid, "p", x.data(), y.data(), cells,
-                             list_p.data(), true, pool);
-    EXPECT_TRUE(same_bits(list_p, list_s)) << "500-cell list, " << where;
+    grid.accumulate_cells("s", x.data(), y.data(), small_list, list_s.data(),
+                          true);
+    grid.accumulate_cells("p", x.data(), y.data(), small_list, list_p.data(),
+                          true, pool());
+    check(list_p, list_s, false, "500-cell list, " + where(isa));
+
+    // Large list onto a nonzero map.
+    std::vector<double> big_s = serial, big_p = serial;
+    grid.accumulate_cells("s", x.data(), y.data(), big_list, big_s.data(),
+                          false);
+    grid.accumulate_cells("p", x.data(), y.data(), big_list, big_p.data(),
+                          false, pool());
+    check(big_p, big_s, !inline_only(),
+          std::to_string(big_list.size()) + "-cell list, " + where(isa));
   }
   simd::select(before);
 }
 
 TEST_P(ParallelKernels, GatherMatchesSerial) {
-  const int threads = GetParam();
   db::Database db = make_db();
   ops::DensityGrid grid(db, 64);
   std::vector<float> x, y;
   get_positions(db, x, y);
+  const std::size_t n = db.num_cells_total();
   // Synthetic field.
   std::vector<double> ex(grid.num_bins()), ey(grid.num_bins());
   for (std::size_t b = 0; b < grid.num_bins(); ++b) {
     ex[b] = std::sin(0.01 * static_cast<double>(b));
     ey[b] = std::cos(0.013 * static_cast<double>(b));
   }
-  std::vector<float> gx_s(db.num_cells_total(), 0.0f), gy_s(db.num_cells_total(), 0.0f);
-  grid.gather_field("s", x.data(), y.data(), 0, db.num_movable(), ex.data(),
-                    ey.data(), -1.0f, gx_s.data(), gy_s.data());
-  ThreadPool pool(threads);
-  std::vector<float> gx_p(db.num_cells_total(), 0.0f), gy_p(db.num_cells_total(), 0.0f);
-  ops::gather_field_mt(grid, "p", x.data(), y.data(), 0, db.num_movable(),
-                       ex.data(), ey.data(), -1.0f, gx_p.data(), gy_p.data(),
-                       pool);
-  for (std::size_t c = 0; c < db.num_movable(); ++c) {
-    EXPECT_NEAR(gx_p[c], gx_s[c], 1e-6f) << c;
-    EXPECT_NEAR(gy_p[c], gy_s[c], 1e-6f) << c;
+  // A nonzero incoming gradient: the gather accumulates into it.
+  std::vector<float> base(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    base[c] = 0.5f * std::cos(0.3f * static_cast<float>(c));
   }
+  std::vector<std::uint32_t> cells;
+  for (std::uint32_t c = 0; c < n; c += 3) cells.push_back(c);
+
+  // Each cell owns its gradient slot, so the pooled gather equals the inline
+  // one bit for bit at every pool size.
+  const simd::Isa before = simd::isa();
+  for (const simd::Isa isa : cpu_isas()) {
+    simd::select(isa);
+    std::vector<float> gx_s = base, gy_s = base, gx_p = base, gy_p = base;
+    grid.gather_field("s", x.data(), y.data(), 0, db.num_movable(), ex.data(),
+                      ey.data(), -1.0f, gx_s.data(), gy_s.data());
+    grid.gather_field("p", x.data(), y.data(), 0, db.num_movable(), ex.data(),
+                      ey.data(), -1.0f, gx_p.data(), gy_p.data(), pool());
+    EXPECT_TRUE(same_bits(gx_p, gx_s)) << "range, " << where(isa);
+    EXPECT_TRUE(same_bits(gy_p, gy_s)) << "range, " << where(isa);
+
+    gx_s = gy_s = gx_p = gy_p = base;
+    grid.gather_field_cells("s", x.data(), y.data(), cells, ex.data(),
+                            ey.data(), -1.0f, gx_s.data(), gy_s.data());
+    grid.gather_field_cells("p", x.data(), y.data(), cells, ex.data(),
+                            ey.data(), -1.0f, gx_p.data(), gy_p.data(),
+                            pool());
+    EXPECT_TRUE(same_bits(gx_p, gx_s)) << "list, " << where(isa);
+    EXPECT_TRUE(same_bits(gy_p, gy_s)) << "list, " << where(isa);
+  }
+  simd::select(before);
 }
 
-INSTANTIATE_TEST_SUITE_P(PoolSizes, ParallelKernels, ::testing::Values(1, 2, 4));
+INSTANTIATE_TEST_SUITE_P(PoolSizes, ParallelKernels,
+                         ::testing::Values(0, 1, 2, 3, 4));
 
 /// The pooled WA kernel's contract, rebuilt from the serial kernel: slot w
 /// owns nets [w·N/W, (w+1)·N/W), runs them alone (every other net masked off)
@@ -208,9 +290,7 @@ TEST(ParallelKernels, FusedWirelengthBitwiseMatchesSlotFoldedReference) {
     base[c] = 0.25f * std::sin(0.7f * static_cast<float>(c));
   }
   const simd::Isa before = simd::isa();
-  std::vector<simd::Isa> isas{simd::Isa::kScalar};
-  if (simd::cpu_has_avx2()) isas.push_back(simd::Isa::kAvx2);
-  for (const simd::Isa isa : isas) {
+  for (const simd::Isa isa : cpu_isas()) {
     simd::select(isa);
     for (const std::size_t workers : {2u, 3u, 4u, 7u}) {
       std::vector<float> gx_r = base, gy_r = base;
@@ -218,8 +298,8 @@ TEST(ParallelKernels, FusedWirelengthBitwiseMatchesSlotFoldedReference) {
           view, x.data(), y.data(), 6.0f, workers, gx_r.data(), gy_r.data());
       ThreadPool pool(workers);
       std::vector<float> gx_p = base, gy_p = base;
-      const ops::WirelengthSums par = ops::fused_wl_grad_hpwl_mt(
-          view, x.data(), y.data(), 6.0f, gx_p.data(), gy_p.data(), pool);
+      const ops::WirelengthSums par = ops::fused_wl_grad_hpwl(
+          view, x.data(), y.data(), 6.0f, gx_p.data(), gy_p.data(), &pool);
       const std::string where = std::string(simd::isa_name(isa)) + " at " +
                                 std::to_string(workers) + " workers";
       EXPECT_EQ(0, std::memcmp(&par.wa, &ref.wa, sizeof(double))) << where;
@@ -243,10 +323,10 @@ TEST(ParallelKernels, DeterministicForFixedPoolSize) {
   ThreadPool pool(3);
   std::vector<float> g1(db.num_cells_total(), 0.0f), g2(db.num_cells_total(), 0.0f);
   std::vector<float> h1(db.num_cells_total(), 0.0f), h2(db.num_cells_total(), 0.0f);
-  const auto r1 = ops::fused_wl_grad_hpwl_mt(view, x.data(), y.data(), 6.0f,
-                                             g1.data(), h1.data(), pool);
-  const auto r2 = ops::fused_wl_grad_hpwl_mt(view, x.data(), y.data(), 6.0f,
-                                             g2.data(), h2.data(), pool);
+  const auto r1 = ops::fused_wl_grad_hpwl(view, x.data(), y.data(), 6.0f,
+                                          g1.data(), h1.data(), &pool);
+  const auto r2 = ops::fused_wl_grad_hpwl(view, x.data(), y.data(), 6.0f,
+                                          g2.data(), h2.data(), &pool);
   EXPECT_EQ(r1.wa, r2.wa);
   EXPECT_EQ(r1.hpwl, r2.hpwl);
   for (std::size_t c = 0; c < view.num_cells; ++c) {
