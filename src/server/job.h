@@ -61,9 +61,7 @@ struct JobSpec {
   /// [A-Za-z0-9_.-] are replaced with '_'.
   std::string label;
 
-  // ---- batching / dedup ----------------------------------------------------
-  std::uint64_t batch_id = 0;  ///< owning submit-batch id (0 = standalone)
-  std::uint64_t portfolio_id = 0;  ///< owning portfolio id (0 = none)
+  // ---- dedup ---------------------------------------------------------------
   /// Result dedup: when set, an identical (design_hash, config_hash) with a
   /// successful terminal result is served from cache instead of re-running.
   /// Default off for plain submits (soak tests rely on N identical jobs
@@ -139,6 +137,11 @@ inline bool is_terminal(JobState s) {
          s == JobState::kFailed || s == JobState::kShed;
 }
 
+/// JobRecord::error of a portfolio member the racer early-killed as a strict
+/// laggard. Journaled with the member's kCancel/kFinish, so a group's `killed`
+/// count is read from member records and means the same after a restart.
+inline constexpr char kRacerKillError[] = "killed by the portfolio racer";
+
 /// One completed (and abandoned) run attempt of a supervised job: why it
 /// ended, and the backoff the supervisor applied before the next admission.
 struct JobAttempt {
@@ -186,7 +189,9 @@ struct JobRecord {
   double dp_hpwl = 0.0;
   bool legalized = false;
 
-  std::string error;       ///< kFailed/kShed diagnostic
+  /// kFailed/kShed diagnostic; on a kCancelled portfolio member,
+  /// kRacerKillError marks a laggard the racer killed (DESIGN.md §16).
+  std::string error;
   std::string spill_path;  ///< XPCK checkpoint path when the server spilled
 
   // Supervised-retry + crash-recovery lifecycle (DESIGN.md §13).

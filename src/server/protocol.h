@@ -48,20 +48,30 @@
 //        cancels every non-terminal member in one shot
 //
 // Portfolio-racing verbs (DESIGN.md §16). A portfolio launches K perturbed
-// restarts of one design as a batch and races them; the racer thread
+// restarts of one design as a raced group and races them; the racer thread
 // early-kills strict laggards unless "no_kill":
 //
 //   {"cmd":"submit-portfolio","design":"a1b2...","k":4,"seed":1,
 //    "max_iters":800,"deadline_s":120}
-//        → {"ok":true,"portfolio":1,"batch":3,"design":"a1b2...",
-//           "jobs":[{"id":7,"dedup":false},...]}
+//        → {"ok":true,"portfolio":3,"batch":3,"design":"a1b2...",
+//           "jobs":[{"id":7,"dedup":false},...]} ("portfolio" and "batch"
+//        carry the same group id)
 //        Optional racer overrides: "kill_min_iter" (grace iterations),
 //        "kill_margin" (HPWL ratio), "kill_slack" (overflow gap),
 //        "no_kill":true (race without early-kill).
-//   {"cmd":"portfolio-status","id":1}           → {"ok":true,"portfolio":{...}}
-//   {"cmd":"portfolio-result","id":1,"wait":true,"timeout_s":600}
+//   {"cmd":"portfolio-status","id":3}           → {"ok":true,"portfolio":{...}}
+//   {"cmd":"portfolio-result","id":3,"wait":true,"timeout_s":600}
 //        → {"ok":true,"portfolio":{...},"winner":{...full job object...},
-//           "jobs":[{...},...]} (winner present once a member is done)
+//           "jobs":[{...},...]} (winner = the best member, present once a
+//           member is done)
+//
+// Sweeps and portfolios are one group family (DESIGN.md §14): one id
+// sequence, and every batch-* and portfolio-* status/result verb accepts any
+// group id; the verb only picks the reply key. The aggregate carries "id",
+// "design", "label", "jobs", the per-state counts, "all_terminal" and, once a
+// member is done, "best_job"/"best_hpwl" (lowest final HPWL, ties to the
+// lower job id); a raced group adds "batch" (its own id), "base_seed",
+// "killed" (members the racer killed) and "deadline_s".
 //
 // Every error is {"ok":false,"error":"..."} on one line; a malformed or
 // oversized request line never kills the connection — the server answers
@@ -148,7 +158,7 @@ bool hex_to_hash(const std::string& hex, std::uint64_t* out);
 
 /// One parsed request. `spec` is meaningful for kSubmit / kUploadDesign /
 /// kSubmitBatch (the batch base); `configs` for kSubmitBatch; `id` for
-/// status/cancel/result/events and batch-status/batch-result (the batch id);
+/// status/cancel/result/events and the group verbs (the group id);
 /// `from_seq`/`wait`/`timeout_s`/`drain` for the commands that document them
 /// above.
 /// Sentinel for "no kill_slack override" — overflow slack is legitimately

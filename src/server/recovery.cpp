@@ -56,17 +56,16 @@ std::string encode_submit(const JobSpec& spec, int attempt) {
   put<double>(out, spec.deadline_s);
   put_str(out, spec.label);
   put<std::int32_t>(out, attempt);
-  // Design-store / sweep fields (appended; decode reads them symmetrically —
-  // startup compaction rewrites the journal with the running binary's codec,
-  // so there is no cross-version payload to worry about).
+  // Design-store / sweep fields (appended). Startup compaction rewrites the
+  // journal with the running binary's codec; a record from a binary with
+  // another layout fails the decoder's exact-length check and is dropped
+  // (drain before upgrading — DESIGN.md §13).
   put<std::uint64_t>(out, spec.design_hash);
   put<std::uint64_t>(out, spec.seed);
   put<double>(out, spec.target_density);
   put<double>(out, spec.lambda_init);
-  put<std::uint64_t>(out, spec.batch_id);
   put<std::uint8_t>(out, spec.dedup ? 1 : 0);
-  // Portfolio / perturbed-restart fields (appended, same compaction argument).
-  put<std::uint64_t>(out, spec.portfolio_id);
+  // Perturbed-restart fields (appended, same compaction argument).
   put<double>(out, spec.init_noise_scale);
   put<double>(out, spec.gamma_scale);
   put<double>(out, spec.lambda_scale);
@@ -94,12 +93,11 @@ bool decode_submit(const std::string& payload, JobSpec* spec, int* attempt) {
   if (!get(payload, &pos, &spec->seed)) return false;
   if (!get(payload, &pos, &spec->target_density)) return false;
   if (!get(payload, &pos, &spec->lambda_init)) return false;
-  if (!get(payload, &pos, &spec->batch_id)) return false;
   if (!get(payload, &pos, &dedup)) return false;
-  if (!get(payload, &pos, &spec->portfolio_id)) return false;
   if (!get(payload, &pos, &spec->init_noise_scale)) return false;
   if (!get(payload, &pos, &spec->gamma_scale)) return false;
   if (!get(payload, &pos, &spec->lambda_scale)) return false;
+  if (pos != payload.size()) return false;
   spec->dedup = dedup != 0;
   spec->demo_cells = static_cast<long>(cells);
   spec->max_iters = max_iters;
@@ -138,6 +136,7 @@ bool decode_finish(const std::string& payload, FinishInfo* info) {
   if (!get(payload, &pos, &info->dp_hpwl)) return false;
   if (!get(payload, &pos, &legal)) return false;
   if (!get_str(payload, &pos, &info->error)) return false;
+  if (pos != payload.size()) return false;
   info->state = static_cast<JobState>(state);
   info->stop_reason = static_cast<core::StopReason>(reason);
   info->iterations = iters;
@@ -158,6 +157,7 @@ bool decode_checkpoint(const std::string& payload, int* next_iter,
   std::int32_t iter = 0;
   if (!get(payload, &pos, &iter)) return false;
   if (!get_str(payload, &pos, path)) return false;
+  if (pos != payload.size()) return false;
   *next_iter = iter;
   return true;
 }
@@ -176,6 +176,7 @@ bool decode_retry(const std::string& payload, RetryInfo* info) {
   if (!get(payload, &pos, &att)) return false;
   if (!get(payload, &pos, &info->backoff_s)) return false;
   if (!get_str(payload, &pos, &info->reason)) return false;
+  if (pos != payload.size()) return false;
   info->attempt = att;
   return true;
 }
@@ -196,69 +197,62 @@ bool decode_design_ref(const std::string& payload, DesignRefInfo* info) {
   if (!get_str(payload, &pos, &info->aux)) return false;
   if (!get(payload, &pos, &info->cells)) return false;
   if (!get(payload, &pos, &info->seed)) return false;
+  if (pos != payload.size()) return false;
   info->demo = demo != 0;
   return true;
 }
 
-std::string encode_batch(const BatchInfo& info) {
+std::string encode_group(const GroupInfo& info) {
   std::string out;
   put<std::uint64_t>(out, info.design_hash);
   put_str(out, info.label);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(info.job_ids.size()));
-  for (std::size_t i = 0; i < info.job_ids.size(); ++i) {
-    put<std::uint64_t>(out, info.job_ids[i]);
-    put<std::uint8_t>(out, i < info.deduped.size() ? info.deduped[i] : 0);
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(info.members.size()));
+  for (const GroupMember& m : info.members) {
+    put<std::uint64_t>(out, m.id);
+    put<std::uint8_t>(out, m.deduped ? 1 : 0);
+  }
+  put<std::uint8_t>(out, info.raced ? 1 : 0);
+  if (info.raced) {
+    put<std::uint64_t>(out, info.base_seed);
+    put<double>(out, info.deadline_s);
+    put<std::int32_t>(out, info.policy.min_iter);
+    put<double>(out, info.policy.hpwl_margin);
+    put<double>(out, info.policy.overflow_slack);
+    put<std::uint8_t>(out, info.policy.no_kill ? 1 : 0);
   }
   return out;
 }
 
-bool decode_batch(const std::string& payload, BatchInfo* info) {
+bool decode_group(const std::string& payload, GroupInfo* info) {
   std::size_t pos = 0;
   std::uint32_t count = 0;
   if (!get(payload, &pos, &info->design_hash)) return false;
   if (!get_str(payload, &pos, &info->label)) return false;
   if (!get(payload, &pos, &count)) return false;
-  info->job_ids.clear();
-  info->deduped.clear();
+  info->members.clear();
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint64_t id = 0;
     std::uint8_t dedup = 0;
     if (!get(payload, &pos, &id)) return false;
     if (!get(payload, &pos, &dedup)) return false;
-    info->job_ids.push_back(id);
-    info->deduped.push_back(dedup);
+    info->members.push_back({id, dedup != 0});
   }
-  return true;
-}
-
-std::string encode_portfolio(const PortfolioInfo& info) {
-  std::string out;
-  put<std::uint64_t>(out, info.batch_id);
-  put<std::uint64_t>(out, info.design_hash);
-  put<std::uint64_t>(out, info.base_seed);
-  put<std::uint32_t>(out, info.k);
-  put<double>(out, info.deadline_s);
-  put_str(out, info.label);
-  put<std::int32_t>(out, info.min_iter);
-  put<double>(out, info.hpwl_margin);
-  put<double>(out, info.overflow_slack);
-  put<std::uint8_t>(out, info.no_kill);
-  return out;
-}
-
-bool decode_portfolio(const std::string& payload, PortfolioInfo* info) {
-  std::size_t pos = 0;
-  if (!get(payload, &pos, &info->batch_id)) return false;
-  if (!get(payload, &pos, &info->design_hash)) return false;
-  if (!get(payload, &pos, &info->base_seed)) return false;
-  if (!get(payload, &pos, &info->k)) return false;
-  if (!get(payload, &pos, &info->deadline_s)) return false;
-  if (!get_str(payload, &pos, &info->label)) return false;
-  if (!get(payload, &pos, &info->min_iter)) return false;
-  if (!get(payload, &pos, &info->hpwl_margin)) return false;
-  if (!get(payload, &pos, &info->overflow_slack)) return false;
-  if (!get(payload, &pos, &info->no_kill)) return false;
-  return true;
+  std::uint8_t raced = 0;
+  if (!get(payload, &pos, &raced)) return false;
+  info->raced = raced != 0;
+  if (info->raced) {
+    std::int32_t min_iter = 0;
+    std::uint8_t no_kill = 0;
+    if (!get(payload, &pos, &info->base_seed)) return false;
+    if (!get(payload, &pos, &info->deadline_s)) return false;
+    if (!get(payload, &pos, &min_iter)) return false;
+    if (!get(payload, &pos, &info->policy.hpwl_margin)) return false;
+    if (!get(payload, &pos, &info->policy.overflow_slack)) return false;
+    if (!get(payload, &pos, &no_kill)) return false;
+    info->policy.min_iter = min_iter;
+    info->policy.no_kill = no_kill != 0;
+  }
+  return pos == payload.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -280,11 +274,10 @@ RecoveryPlan build_recovery_plan(const io::JournalReplay& replay) {
 
   for (const io::JournalRecord& rec : replay.records) {
     const auto type = static_cast<JournalEvent>(rec.type);
-    // Non-job records reuse the job_id slot for other identities (design
-    // hash, batch id) — they must not poison job-id allocation.
-    if (type != JournalEvent::kDesignRef && type != JournalEvent::kBatch &&
-        type != JournalEvent::kPortfolio &&
-        type != JournalEvent::kCleanShutdown) {
+    // Only job-lifecycle records (kSubmit..kRetry) carry a job id; the rest
+    // reuse the slot for other identities (design hash, group id) and must
+    // not poison job-id allocation.
+    if (type >= JournalEvent::kSubmit && type <= JournalEvent::kRetry) {
       plan.max_id = std::max(plan.max_id, rec.job_id);
     }
     switch (type) {
@@ -318,7 +311,10 @@ RecoveryPlan build_recovery_plan(const io::JournalReplay& replay) {
         }
         break;
       case JournalEvent::kCancel:
-        if (RecoveredJob* job = find(rec.job_id)) job->cancel_requested = true;
+        if (RecoveredJob* job = find(rec.job_id)) {
+          job->cancel_requested = true;
+          job->finish.error = rec.payload;
+        }
         break;
       case JournalEvent::kRetry:
         if (RecoveredJob* job = find(rec.job_id)) {
@@ -352,38 +348,21 @@ RecoveryPlan build_recovery_plan(const io::JournalReplay& replay) {
         if (!seen) plan.designs.push_back(RecoveredDesign{rec.job_id, std::move(info)});
         break;
       }
-      case JournalEvent::kBatch: {
-        BatchInfo info;
-        if (!decode_batch(rec.payload, &info)) break;
-        plan.max_batch_id = std::max(plan.max_batch_id, rec.job_id);
+      case JournalEvent::kGroup: {
+        GroupInfo info;
+        if (!decode_group(rec.payload, &info)) break;
+        plan.max_group_id = std::max(plan.max_group_id, rec.job_id);
         bool seen = false;
-        for (RecoveredBatch& b : plan.batches) {
-          if (b.id == rec.job_id) {
-            b.info = std::move(info);  // duplicate id: newest wins
+        for (RecoveredGroup& g : plan.groups) {
+          if (g.id == rec.job_id) {
+            g.info = std::move(info);  // duplicate id: newest wins
             seen = true;
             break;
           }
         }
         if (!seen) {
-          plan.batches.push_back(RecoveredBatch{rec.job_id, std::move(info), rec.time_s});
-        }
-        break;
-      }
-      case JournalEvent::kPortfolio: {
-        PortfolioInfo info;
-        if (!decode_portfolio(rec.payload, &info)) break;
-        plan.max_portfolio_id = std::max(plan.max_portfolio_id, rec.job_id);
-        bool seen = false;
-        for (RecoveredPortfolio& p : plan.portfolios) {
-          if (p.id == rec.job_id) {
-            p.info = std::move(info);  // duplicate id: newest wins
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) {
-          plan.portfolios.push_back(
-              RecoveredPortfolio{rec.job_id, std::move(info), rec.time_s});
+          plan.groups.push_back(
+              RecoveredGroup{rec.job_id, std::move(info), rec.time_s});
         }
         break;
       }
@@ -398,7 +377,7 @@ RecoveryPlan build_recovery_plan(const io::JournalReplay& replay) {
 
 std::vector<io::JournalRecord> compaction_records(const RecoveryPlan& plan) {
   std::vector<io::JournalRecord> out;
-  // Designs first: jobs and batches reference them by hash, and recovery
+  // Designs first: jobs and groups reference them by hash, and recovery
   // registers sources before it re-admits any work.
   for (const RecoveredDesign& d : plan.designs) {
     io::JournalRecord rec;
@@ -456,23 +435,16 @@ std::vector<io::JournalRecord> compaction_records(const RecoveryPlan& plan) {
       cancel.type = static_cast<std::uint32_t>(JournalEvent::kCancel);
       cancel.job_id = job.id;
       cancel.time_s = job.submit_time_s;
+      cancel.payload = job.finish.error;
       out.push_back(std::move(cancel));
     }
   }
-  for (const RecoveredBatch& b : plan.batches) {
+  for (const RecoveredGroup& g : plan.groups) {
     io::JournalRecord rec;
-    rec.type = static_cast<std::uint32_t>(JournalEvent::kBatch);
-    rec.job_id = b.id;
-    rec.time_s = b.submit_time_s;
-    rec.payload = encode_batch(b.info);
-    out.push_back(std::move(rec));
-  }
-  for (const RecoveredPortfolio& p : plan.portfolios) {
-    io::JournalRecord rec;
-    rec.type = static_cast<std::uint32_t>(JournalEvent::kPortfolio);
-    rec.job_id = p.id;
-    rec.time_s = p.submit_time_s;
-    rec.payload = encode_portfolio(p.info);
+    rec.type = static_cast<std::uint32_t>(JournalEvent::kGroup);
+    rec.job_id = g.id;
+    rec.time_s = g.submit_time_s;
+    rec.payload = encode_group(g.info);
     out.push_back(std::move(rec));
   }
   return out;

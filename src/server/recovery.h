@@ -10,11 +10,20 @@
 //                the resume point if the process dies now
 //   kFinish      terminal state + result fields
 //   kCancel      cancel requested (queued-job cancels also get a kFinish;
-//                a bare kCancel means the crash hit between cancel and settle)
+//                a bare kCancel means the crash hit between cancel and settle);
+//                the payload is the job's error text (kRacerKillError on a
+//                racer kill, else empty)
 //   kRetry       the supervisor re-admitted a diverged/alloc-failed job
 //                (new attempt number + backoff + reason)
 //   kCleanShutdown  drain completed with no jobs outstanding — the next start
 //                is a "clean start" (no recovery) iff this is the last record
+//   kDesignRef   a design became known to the store (not a job record)
+//   kGroup       a sweep or portfolio landed: member ids + race policy (not a
+//                job record)
+//
+// Every decoder rejects a payload it did not consume exactly, so a record
+// written by a binary with a different layout is dropped, never mis-decoded
+// (drain before upgrading the binary — DESIGN.md §13).
 //
 // build_recovery_plan folds a tolerant replay (io::read_journal) into per-job
 // effective state: live jobs to re-enqueue in original submit order, running
@@ -29,6 +38,7 @@
 
 #include "io/journal.h"
 #include "server/job.h"
+#include "server/portfolio_racer.h"
 
 namespace xplace::server {
 
@@ -45,13 +55,13 @@ enum class JournalEvent : std::uint32_t {
   /// hash; the payload carries its source so recovery can re-register it for
   /// lazy re-parse. Not a job record: excluded from max_id.
   kDesignRef = 8,
-  /// A submit-batch landed: the job_id slot carries the batch id; the payload
-  /// ties the member job ids to the batch + design hash.
-  kBatch = 9,
-  /// A submit-portfolio landed: the job_id slot carries the portfolio id; the
-  /// payload names the member batch plus the racing parameters, so a restart
-  /// resumes racing the surviving members under the same policy.
-  kPortfolio = 10,
+  // 9 and 10 were the retired per-kind batch and portfolio records; replay
+  // ignores them like any unknown type.
+  /// A group (sweep or portfolio) landed: the job_id slot carries the group
+  /// id; the payload ties the member job ids to the design hash and, for a
+  /// raced group, the racing parameters, so a restart resumes racing the
+  /// surviving members under the same policy.
+  kGroup = 11,
 };
 
 /// Decoded kFinish payload (the terminal slice of a JobRecord).
@@ -99,35 +109,29 @@ struct DesignRefInfo {
 std::string encode_design_ref(const DesignRefInfo& info);
 bool decode_design_ref(const std::string& payload, DesignRefInfo* info);
 
-/// Decoded kBatch payload (the batch id rides in the job_id slot).
-struct BatchInfo {
-  std::uint64_t design_hash = 0;
-  std::string label;
-  std::vector<std::uint64_t> job_ids;
-  std::vector<std::uint8_t> deduped;  ///< parallel to job_ids: served from cache
+/// One member of a group: a job the group admitted, or (deduped) a job that
+/// already served the same (design, config) and now serves this member too.
+struct GroupMember {
+  std::uint64_t id = 0;
+  bool deduped = false;
 };
 
-std::string encode_batch(const BatchInfo& info);
-bool decode_batch(const std::string& payload, BatchInfo* info);
-
-/// Decoded kPortfolio payload (the portfolio id rides in the job_id slot).
-/// Members are reachable through the named batch's kBatch record.
-struct PortfolioInfo {
-  std::uint64_t batch_id = 0;
+/// Decoded kGroup payload (the group id rides in the job_id slot): a sweep's
+/// or a portfolio's members, plus the race fields when the group is raced.
+struct GroupInfo {
   std::uint64_t design_hash = 0;
-  std::uint64_t base_seed = 0;
-  std::uint32_t k = 0;
-  double deadline_s = 0.0;
   std::string label;
-  // Racing policy (portfolio_racer.h) the run was admitted under.
-  std::int32_t min_iter = 100;
-  double hpwl_margin = 1.15;
-  double overflow_slack = 0.05;
-  std::uint8_t no_kill = 0;
+  std::vector<GroupMember> members;  ///< config (plan) order
+  bool raced = false;                ///< a portfolio: the racer judges it
+  std::uint64_t base_seed = 0;       ///< the plan's seed (raced only)
+  double deadline_s = 0.0;           ///< shared race deadline (raced only)
+  /// Racing policy the group was admitted under (raced only; min_survivors
+  /// stays server-wide and is not journaled).
+  RacePolicy policy;
 };
 
-std::string encode_portfolio(const PortfolioInfo& info);
-bool decode_portfolio(const std::string& payload, PortfolioInfo* info);
+std::string encode_group(const GroupInfo& info);
+bool decode_group(const std::string& payload, GroupInfo* info);
 
 /// One job's effective state after folding every journal record about it.
 struct RecoveredJob {
@@ -137,6 +141,7 @@ struct RecoveredJob {
   double submit_time_s = 0.0;  ///< CLOCK_REALTIME at original submit
   bool was_running = false;    ///< started and neither finished nor retried
   bool cancel_requested = false;  ///< bare kCancel with no settling kFinish
+                                  ///< (its payload lands in finish.error)
   std::string checkpoint_path;    ///< newest spill ("" = none landed)
   int checkpoint_iter = 0;
   bool terminal = false;
@@ -151,19 +156,11 @@ struct RecoveredDesign {
   DesignRefInfo source;
 };
 
-/// A batch whose membership survives the restart (member jobs recover
-/// independently through their own records).
-struct RecoveredBatch {
+/// A group whose membership and race policy survive the restart (member
+/// jobs recover independently through their own records).
+struct RecoveredGroup {
   std::uint64_t id = 0;
-  BatchInfo info;
-  double submit_time_s = 0.0;
-};
-
-/// A portfolio whose racing state survives the restart: membership via its
-/// batch, members via their own job records.
-struct RecoveredPortfolio {
-  std::uint64_t id = 0;
-  PortfolioInfo info;
+  GroupInfo info;
   double submit_time_s = 0.0;
 };
 
@@ -175,10 +172,8 @@ struct RecoveryPlan {
   std::uint64_t max_id = 0;        ///< highest job id seen (id allocation)
   std::size_t records = 0;         ///< trusted records folded
   std::vector<RecoveredDesign> designs;  ///< design-ref records, first-seen order
-  std::vector<RecoveredBatch> batches;   ///< batch records, submit order
-  std::uint64_t max_batch_id = 0;
-  std::vector<RecoveredPortfolio> portfolios;  ///< portfolio records, in order
-  std::uint64_t max_portfolio_id = 0;
+  std::vector<RecoveredGroup> groups;  ///< group records, submit order
+  std::uint64_t max_group_id = 0;
 };
 
 RecoveryPlan build_recovery_plan(const io::JournalReplay& replay);

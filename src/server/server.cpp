@@ -285,7 +285,7 @@ PlacementServer::SubmitOutcome PlacementServer::submit_spec_locked(
 }
 
 // ---------------------------------------------------------------------------
-// Design store + batch sweeps (DESIGN.md §14)
+// Design store + groups (DESIGN.md §14)
 // ---------------------------------------------------------------------------
 
 void PlacementServer::journal_design_ref_locked(
@@ -350,10 +350,54 @@ bool PlacementServer::evict_design(std::uint64_t hash, std::string* error) {
   return designs_.evict(hash, error);
 }
 
-PlacementServer::BatchSubmitOutcome PlacementServer::submit_batch(
+PlacementServer::GroupSubmitOutcome PlacementServer::submit_batch(
     const JobSpec& base, const std::vector<JobSpec>& configs) {
+  return submit_group(base, configs, GroupInfo{});
+}
+
+PlacementServer::GroupSubmitOutcome PlacementServer::submit_portfolio(
+    const JobSpec& base, int k, double deadline_s, const RacePolicy& policy) {
+  GroupSubmitOutcome out;
+  if (k < 2) {
+    out.error = "submit-portfolio needs \"k\" >= 2 (one member is a submit)";
+    return out;
+  }
+  if (k > 64) {
+    out.error = "\"k\" exceeds the 64-member portfolio bound";
+    return out;
+  }
+  if (deadline_s < 0.0) {
+    out.error = "\"deadline_s\" must be non-negative";
+    return out;
+  }
+
+  // The plan is a pure function of (k, base seed): same two numbers, same K
+  // perturbation variants, every time — the determinism acceptance.
+  GroupInfo race;
+  race.raced = true;
+  race.base_seed = base.seed > 0 ? base.seed : 1;
+  race.deadline_s = deadline_s;
+  race.policy = policy;
+  std::vector<JobSpec> configs;
+  for (const opt::PerturbationVariant& v :
+       opt::make_portfolio_plan(k, race.base_seed)) {
+    JobSpec s = base;
+    s.seed = v.seed;
+    s.init_noise_scale = v.init_noise_scale;
+    s.gamma_scale = v.gamma_scale;
+    s.lambda_scale = v.lambda_scale;
+    s.label = v.label;          // prefixed with the group label at admission
+    s.deadline_s = deadline_s;  // shared race deadline, queue wait included
+    s.dedup = true;
+    configs.push_back(std::move(s));
+  }
+  return submit_group(base, std::move(configs), std::move(race));
+}
+
+PlacementServer::GroupSubmitOutcome PlacementServer::submit_group(
+    const JobSpec& base, std::vector<JobSpec> configs, GroupInfo info) {
   telemetry::Registry& reg = telemetry::Registry::global();
-  BatchSubmitOutcome out;
+  GroupSubmitOutcome out;
   if (configs.empty()) {
     out.error = "submit-batch needs at least one config";
     return out;
@@ -363,7 +407,7 @@ PlacementServer::BatchSubmitOutcome PlacementServer::submit_batch(
     return out;
   }
 
-  // Resolve the design FIRST, outside mutex_ — this is the batch's single
+  // Resolve the design FIRST, outside mutex_ — this is the group's single
   // parse (or a cache hit); every member job then references the snapshot by
   // content hash.
   DesignStore::SourceRef ref;
@@ -401,12 +445,10 @@ PlacementServer::BatchSubmitOutcome PlacementServer::submit_batch(
 
   // Build + validate every member spec before admitting any (all-or-nothing).
   // Each config keeps its own placement fields; the design fields are
-  // overwritten with the batch's resolved hash.
-  std::vector<JobSpec> specs;
-  specs.reserve(configs.size());
+  // overwritten with the group's resolved hash.
   std::size_t fresh = 0;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    JobSpec s = configs[i];
+    JobSpec& s = configs[i];
     s.aux.clear();
     s.demo_cells = 0;
     s.demo_seed = base.demo_seed;
@@ -427,7 +469,6 @@ PlacementServer::BatchSubmitOutcome PlacementServer::submit_batch(
                                       !is_terminal(jit->second->rec.state));
     }
     if (!served) ++fresh;
-    specs.push_back(std::move(s));
   }
   if (queue_.size() + fresh > queue_.capacity()) {
     out.error = "queue cannot take " + std::to_string(fresh) +
@@ -438,60 +479,82 @@ PlacementServer::BatchSubmitOutcome PlacementServer::submit_batch(
     return out;
   }
 
-  const std::uint64_t bid = next_batch_id_++;
+  const std::uint64_t gid = next_group_id_++;
   if (!ref.aux.empty() || ref.demo) journal_design_ref_locked(dhash, ref);
 
-  Batch batch;
-  batch.id = bid;
-  batch.design_hash = dhash;
-  batch.label = sanitize_label(base.label.empty() ? "batch" + std::to_string(bid)
-                                                  : base.label);
-  batch.submitted_s = log::elapsed_seconds();
-  for (JobSpec& s : specs) {
-    s.batch_id = bid;
-    // A dedup hit inside the batch (within the current configs, a repeated
+  Group g;
+  g.info = std::move(info);
+  g.info.design_hash = dhash;
+  g.info.label = sanitize_label(
+      base.label.empty()
+          ? (g.info.raced ? "p" : "batch") + std::to_string(gid)
+          : base.label);
+  for (JobSpec& s : configs) {
+    if (g.info.raced) s.label = g.info.label + "_" + s.label;
+    // A dedup hit inside the group (within the current configs, a repeated
     // earlier config is already in the index) shares the serving job's id.
     const SubmitOutcome so =
         submit_spec_locked(s, s.dedup ? dhash : 0, /*allow_shed=*/false);
     if (!so.ok) {
       // Post-precheck failure can only be journal saturation racing this
-      // batch's own appends; settle as a whole-batch error with the members
+      // group's own appends; settle as a whole-group error with the members
       // already admitted left to run (they are real jobs now).
       out.error = "batch admission failed at config " +
-                  std::to_string(batch.jobs.size()) + ": " + so.error;
+                  std::to_string(g.info.members.size()) + ": " + so.error;
       break;
     }
-    batch.jobs.push_back({so.id, so.deduped});
+    g.info.members.push_back({so.id, so.deduped});
   }
-  out.batch_id = bid;
+  out.id = gid;
   out.design_hash = dhash;
-  out.jobs = batch.jobs;
+  out.jobs = g.info.members;
   out.ok = out.error.empty();
 
-  BatchInfo info;
-  info.design_hash = dhash;
-  info.label = batch.label;
-  for (const BatchJobRef& r : batch.jobs) {
-    info.job_ids.push_back(r.id);
-    info.deduped.push_back(r.deduped ? 1 : 0);
-  }
-  journal_append_locked(JournalEvent::kBatch, bid, encode_batch(info));
-  batches_.emplace(bid, std::move(batch));
+  journal_append_locked(JournalEvent::kGroup, gid, encode_group(g.info));
   reg.counter("serve.batches").inc();
+  if (g.info.raced) {
+    reg.counter("serve.portfolio.submitted").inc();
+    XP_INFO("portfolio %llu: %zu-way race on design %016llx (base seed %llu, "
+            "deadline %.1fs)",
+            static_cast<unsigned long long>(gid), g.info.members.size(),
+            static_cast<unsigned long long>(dhash),
+            static_cast<unsigned long long>(g.info.base_seed),
+            g.info.deadline_s);
+    portfolio_cv_.notify_all();  // the racer wakes up to the new group
+  }
+  groups_.emplace(gid, std::move(g));
+  retire_groups_locked();
   return out;
 }
 
-PlacementServer::BatchStatus PlacementServer::batch_status_locked(
-    std::uint64_t id) const {
-  const Batch& b = batches_.at(id);
-  BatchStatus s;
-  s.id = b.id;
-  s.design_hash = b.design_hash;
-  s.label = b.label;
-  s.jobs = b.jobs;
+void PlacementServer::retire_groups_locked() {
+  for (auto it = groups_.begin();
+       it != groups_.end() && groups_.size() > cfg_.result_capacity;) {
+    bool live = false;
+    for (const GroupMember& m : it->second.info.members) {
+      const auto jit = jobs_.find(m.id);
+      live = live || (jit != jobs_.end() && !is_terminal(jit->second->rec.state));
+    }
+    if (live) {
+      ++it;
+      continue;
+    }
+    if (it->second.info.raced && !it->second.settled) {
+      // Settled between two racer passes: count it here, once.
+      telemetry::Registry::global().counter("serve.portfolio.settled").inc();
+    }
+    it = groups_.erase(it);
+  }
+}
+
+PlacementServer::GroupStatus PlacementServer::group_status_locked(
+    std::uint64_t id, const Group& g) const {
+  GroupStatus s;
+  s.id = id;
+  s.info = g.info;
   s.all_terminal = true;
-  for (const BatchJobRef& r : b.jobs) {
-    const auto it = jobs_.find(r.id);
+  for (const GroupMember& m : g.info.members) {
+    const auto it = jobs_.find(m.id);
     if (it == jobs_.end()) {
       // Evicted from the bounded result store — eviction only takes terminal
       // jobs, so this member settled (state unknown; count it done).
@@ -507,9 +570,13 @@ PlacementServer::BatchStatus PlacementServer::batch_status_locked(
       case JobState::kFailed: ++s.failed; break;
       case JobState::kShed: ++s.shed; break;
     }
+    if (rec.state == JobState::kCancelled && rec.error == kRacerKillError) {
+      ++s.killed;
+    }
     if (rec.state == JobState::kDone) {
       const double h = rec.legalized ? rec.dp_hpwl : rec.hpwl;
-      if (s.best_hpwl == 0.0 || h < s.best_hpwl) {
+      if (s.best_job == 0 || h < s.best_hpwl ||
+          (h == s.best_hpwl && rec.id < s.best_job)) {
         s.best_hpwl = h;
         s.best_job = rec.id;
       }
@@ -518,198 +585,65 @@ PlacementServer::BatchStatus PlacementServer::batch_status_locked(
   return s;
 }
 
-std::optional<PlacementServer::BatchStatus> PlacementServer::batch_status(
+std::optional<PlacementServer::GroupStatus> PlacementServer::group_status(
     std::uint64_t id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (batches_.count(id) == 0) return std::nullopt;
-  return batch_status_locked(id);
+  const auto it = groups_.find(id);
+  if (it == groups_.end()) return std::nullopt;
+  return group_status_locked(id, it->second);
 }
 
-std::optional<PlacementServer::BatchStatus> PlacementServer::batch_wait(
+std::optional<PlacementServer::GroupStatus> PlacementServer::group_wait(
     std::uint64_t id, double timeout_s) const {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (batches_.count(id) == 0) return std::nullopt;
-  batch_cv_.wait_for(lock,
+  const auto it = groups_.find(id);
+  if (it == groups_.end()) return std::nullopt;
+  // A copy of the row: another admission may retire it once every member is
+  // terminal, and the answer is then still its last aggregate.
+  const Group g = it->second;
+  GroupStatus s;
+  group_cv_.wait_for(lock,
                      std::chrono::duration<double>(std::max(0.0, timeout_s)),
-                     [&] { return batch_status_locked(id).all_terminal; });
-  return batch_status_locked(id);
+                     [&] {
+                       s = group_status_locked(id, g);
+                       return s.all_terminal;
+                     });
+  return s;
+}
+
+bool PlacementServer::group_cancel(std::uint64_t id, std::size_t* cancelled,
+                                   std::string* error) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = groups_.find(id);
+  if (it == groups_.end()) {
+    if (error != nullptr) *error = "unknown group id";
+    return false;
+  }
+  std::size_t n = 0;
+  for (const GroupMember& m : it->second.info.members) {
+    // Already-terminal (or evicted) members are simply skipped — a group
+    // cancel is "stop spending on this group", not an error on stragglers.
+    if (cancel_locked(m.id, nullptr)) ++n;
+  }
+  if (cancelled != nullptr) *cancelled = n;
+  telemetry::Registry::global().counter("serve.batch.cancelled").inc();
+  return true;
 }
 
 // ---------------------------------------------------------------------------
 // Portfolio racing (DESIGN.md §16)
 // ---------------------------------------------------------------------------
 
-PlacementServer::PortfolioSubmitOutcome PlacementServer::submit_portfolio(
-    const JobSpec& base, int k, double deadline_s) {
-  return submit_portfolio(base, k, deadline_s, cfg_.portfolio_policy);
-}
-
-PlacementServer::PortfolioSubmitOutcome PlacementServer::submit_portfolio(
-    const JobSpec& base, int k, double deadline_s, const RacePolicy& policy) {
-  PortfolioSubmitOutcome out;
-  if (k < 2) {
-    out.error = "submit-portfolio needs \"k\" >= 2 (one member is a submit)";
-    return out;
-  }
-  if (k > 64) {
-    out.error = "\"k\" exceeds the 64-member portfolio bound";
-    return out;
-  }
-  if (deadline_s < 0.0) {
-    out.error = "\"deadline_s\" must be non-negative";
-    return out;
-  }
-
-  // The plan is a pure function of (k, base seed): same two numbers, same K
-  // perturbation variants, every time — the determinism acceptance.
-  const std::uint64_t base_seed = base.seed > 0 ? base.seed : 1;
-  const std::vector<opt::PerturbationVariant> plan =
-      opt::make_portfolio_plan(k, base_seed);
-
-  // Reserve the id up front so member labels can carry it before the batch
-  // admission runs (ids of rejected portfolios are simply skipped).
-  std::uint64_t pid = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    pid = next_portfolio_id_++;
-  }
-  const std::string label = sanitize_label(
-      base.label.empty() ? "p" + std::to_string(pid) : base.label);
-
-  JobSpec batch_base = base;
-  batch_base.label = label;
-  std::vector<JobSpec> configs;
-  configs.reserve(plan.size());
-  for (const opt::PerturbationVariant& v : plan) {
-    JobSpec s = base;
-    s.seed = v.seed;
-    s.init_noise_scale = v.init_noise_scale;
-    s.gamma_scale = v.gamma_scale;
-    s.lambda_scale = v.lambda_scale;
-    s.label = label + "_" + v.label;
-    s.deadline_s = deadline_s;  // shared race deadline, queue wait included
-    s.portfolio_id = pid;
-    s.dedup = true;
-    configs.push_back(std::move(s));
-  }
-
-  // The member batch does the heavy lifting: one design parse, all-or-nothing
-  // queue admission, per-member kSubmit + one kBatch journal record. Batch
-  // verbs (batch-result, batch-cancel) work on a portfolio's batch too.
-  const BatchSubmitOutcome bo = submit_batch(batch_base, configs);
-  if (!bo.ok) {
-    out.error = bo.error;
-    return out;
-  }
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  Portfolio p;
-  p.id = pid;
-  p.info.batch_id = bo.batch_id;
-  p.info.design_hash = bo.design_hash;
-  p.info.base_seed = base_seed;
-  p.info.k = static_cast<std::uint32_t>(k);
-  p.info.deadline_s = deadline_s;
-  p.info.label = label;
-  p.info.min_iter = policy.min_iter;
-  p.info.hpwl_margin = policy.hpwl_margin;
-  p.info.overflow_slack = policy.overflow_slack;
-  p.info.no_kill = policy.no_kill ? 1 : 0;
-  journal_append_locked(JournalEvent::kPortfolio, pid,
-                        encode_portfolio(p.info));
-  portfolios_.emplace(pid, std::move(p));
-  telemetry::Registry::global().counter("serve.portfolio.submitted").inc();
-  XP_INFO("portfolio %llu: %d-way race on design %016llx (batch %llu, base "
-          "seed %llu, deadline %.1fs)",
-          static_cast<unsigned long long>(pid), k,
-          static_cast<unsigned long long>(bo.design_hash),
-          static_cast<unsigned long long>(bo.batch_id),
-          static_cast<unsigned long long>(base_seed), deadline_s);
-  out.ok = true;
-  out.portfolio_id = pid;
-  out.batch_id = bo.batch_id;
-  out.design_hash = bo.design_hash;
-  out.jobs = bo.jobs;
-  portfolio_cv_.notify_all();  // the racer wakes up to the new portfolio
-  return out;
-}
-
-PlacementServer::PortfolioStatus PlacementServer::portfolio_status_locked(
-    const Portfolio& p) const {
-  PortfolioStatus s;
-  s.id = p.id;
-  s.batch_id = p.info.batch_id;
-  s.design_hash = p.info.design_hash;
-  s.base_seed = p.info.base_seed;
-  s.label = p.info.label;
-  s.killed = p.killed;
-  s.deadline_s = p.info.deadline_s;
-  s.all_terminal = true;
-  const auto bit = batches_.find(p.info.batch_id);
-  if (bit == batches_.end()) return s;  // defensive: batches_ never evicts
-  s.jobs = bit->second.jobs;
-  for (const BatchJobRef& r : s.jobs) {
-    const auto it = jobs_.find(r.id);
-    if (it == jobs_.end()) {
-      ++s.done;  // evicted from the result store ⇒ settled (see batch_status)
-      continue;
-    }
-    const JobRecord& rec = it->second->rec;
-    switch (rec.state) {
-      case JobState::kQueued: ++s.queued; s.all_terminal = false; break;
-      case JobState::kRunning: ++s.running; s.all_terminal = false; break;
-      case JobState::kDone: ++s.done; break;
-      case JobState::kCancelled: ++s.cancelled; break;
-      case JobState::kFailed: ++s.failed; break;
-      case JobState::kShed: ++s.shed; break;
-    }
-    if (rec.state == JobState::kDone) {
-      const double h = rec.legalized ? rec.dp_hpwl : rec.hpwl;
-      if (s.winner == 0 || h < s.winner_hpwl ||
-          (h == s.winner_hpwl && rec.id < s.winner)) {
-        s.winner_hpwl = h;
-        s.winner = rec.id;
-      }
-    }
-  }
-  return s;
-}
-
-std::optional<PlacementServer::PortfolioStatus>
-PlacementServer::portfolio_status(std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = portfolios_.find(id);
-  if (it == portfolios_.end()) return std::nullopt;
-  return portfolio_status_locked(it->second);
-}
-
-std::optional<PlacementServer::PortfolioStatus> PlacementServer::portfolio_wait(
-    std::uint64_t id, double timeout_s) const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const auto it = portfolios_.find(id);
-  if (it == portfolios_.end()) return std::nullopt;
-  const Portfolio& p = it->second;  // rows are never erased while running
-  batch_cv_.wait_for(lock,
-                     std::chrono::duration<double>(std::max(0.0, timeout_s)),
-                     [&] { return portfolio_status_locked(p).all_terminal; });
-  return portfolio_status_locked(p);
-}
-
 void PlacementServer::race_portfolios_locked() {
   telemetry::Registry& reg = telemetry::Registry::global();
-  for (auto& [pid, p] : portfolios_) {
-    if (p.settled) continue;
-    const auto bit = batches_.find(p.info.batch_id);
-    if (bit == batches_.end()) {
-      p.settled = true;
-      continue;
-    }
+  for (auto& [gid, g] : groups_) {
+    if (!g.info.raced || g.settled) continue;
     // Sample each member's newest progress event — the same Recorder-sourced
     // numbers the events verb streams — into the racer's cross-job view.
     std::vector<MemberProgress> members;
-    members.reserve(bit->second.jobs.size());
+    members.reserve(g.info.members.size());
     bool all_terminal = true;
-    for (const BatchJobRef& r : bit->second.jobs) {
+    for (const GroupMember& r : g.info.members) {
       MemberProgress m;
       m.id = r.id;
       const auto jit = jobs_.find(r.id);
@@ -729,22 +663,25 @@ void PlacementServer::race_portfolios_locked() {
       members.push_back(m);
     }
     if (all_terminal) {
-      p.settled = true;
+      g.settled = true;
       reg.counter("serve.portfolio.settled").inc();
       continue;
     }
-    RacePolicy pol = cfg_.portfolio_policy;  // min_survivors stays server-wide
-    pol.min_iter = p.info.min_iter;
-    pol.hpwl_margin = p.info.hpwl_margin;
-    pol.overflow_slack = p.info.overflow_slack;
-    pol.no_kill = p.info.no_kill != 0;
+    RacePolicy pol = g.info.policy;
+    pol.min_survivors = cfg_.portfolio_policy.min_survivors;  // server-wide
     for (const std::uint64_t victim : laggards_to_kill(members, pol)) {
-      if (!cancel_locked(victim, nullptr)) continue;
-      ++p.killed;
-      ++portfolio_kills_;
-      reg.counter("serve.portfolio.killed").inc();
+      // A victim already stopping (shared with a group that killed it first)
+      // is skipped. The mark rides the member's own kCancel/kFinish records,
+      // so `killed` is counted from records, live and after a restart alike;
+      // finish_job_locked counts the kill when it settles kCancelled.
+      const auto jit = jobs_.find(victim);
+      if (jit == jobs_.end() || jit->second->token.check() != StopCause::kNone) {
+        continue;
+      }
+      jit->second->rec.error = kRacerKillError;
+      cancel_locked(victim, nullptr);
       XP_INFO("portfolio %llu: early-killed laggard job %llu",
-              static_cast<unsigned long long>(pid),
+              static_cast<unsigned long long>(gid),
               static_cast<unsigned long long>(victim));
     }
   }
@@ -755,7 +692,7 @@ void PlacementServer::portfolio_loop() {
   while (!portfolio_stop_) {
     if (cfg_.portfolio_poll_s <= 0.0) {
       // Racing disabled: park until shutdown (members run to completion; the
-      // winner is still selected by portfolio_status).
+      // best member is still selected by group_status).
       portfolio_cv_.wait(lock, [&] { return portfolio_stop_; });
       continue;
     }
@@ -785,8 +722,9 @@ bool PlacementServer::cancel_locked(std::uint64_t id, std::string* error) {
   job->token.request_cancel();
   if (job->rec.state == JobState::kRunning) {
     // Running: the settle happens later on the worker thread. Journal the
-    // intent now so a crash in between still cancels after recovery.
-    journal_append_locked(JournalEvent::kCancel, id, {});
+    // intent (with the racer-kill mark, if any) now so a crash in between
+    // still cancels after recovery.
+    journal_append_locked(JournalEvent::kCancel, id, job->rec.error);
   }
   if (job->rec.state == JobState::kQueued) {
     // A queued job may be waiting out a retry backoff (not in queue_);
@@ -811,25 +749,6 @@ bool PlacementServer::cancel_locked(std::uint64_t id, std::string* error) {
 bool PlacementServer::cancel(std::uint64_t id, std::string* error) {
   std::lock_guard<std::mutex> lock(mutex_);
   return cancel_locked(id, error);
-}
-
-bool PlacementServer::batch_cancel(std::uint64_t id, std::size_t* cancelled,
-                                   std::string* error) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = batches_.find(id);
-  if (it == batches_.end()) {
-    if (error != nullptr) *error = "unknown batch id";
-    return false;
-  }
-  std::size_t n = 0;
-  for (const BatchJobRef& r : it->second.jobs) {
-    // Already-terminal (or evicted) members are simply skipped — a batch
-    // cancel is "stop spending on this sweep", not an error on stragglers.
-    if (cancel_locked(r.id, nullptr)) ++n;
-  }
-  if (cancelled != nullptr) *cancelled = n;
-  telemetry::Registry::global().counter("serve.batch.cancelled").inc();
-  return true;
 }
 
 std::optional<JobRecord> PlacementServer::status(std::uint64_t id) const {
@@ -921,9 +840,9 @@ PlacementServer::Stats PlacementServer::stats() const {
   s.design_cache_evictions = ds.cache_evictions;
   s.designs_resident = ds.resident;
   s.design_resident_bytes = ds.resident_bytes;
-  s.batches = batches_.size();
+  s.groups = groups_.size();
+  for (const auto& [id, g] : groups_) s.raced_groups += g.info.raced ? 1 : 0;
   s.dedup_hits = dedup_hits_;
-  s.portfolios = portfolios_.size();
   s.portfolio_kills = portfolio_kills_;
   return s;
 }
@@ -1296,6 +1215,16 @@ void PlacementServer::finish_job_locked(Job& job, JobState state) {
     case JobState::kShed: ++shed_; break;
     default: break;
   }
+  if (job.rec.error == kRacerKillError) {
+    // A racer kill counts once it lands; a run that finished before the
+    // kill reached it is an ordinary completion.
+    if (state == JobState::kDone) {
+      job.rec.error.clear();
+    } else if (state == JobState::kCancelled) {
+      ++portfolio_kills_;
+      telemetry::Registry::global().counter("serve.portfolio.killed").inc();
+    }
+  }
   {
     // Terminal transition → journal, so a restart restores this job straight
     // into the result store instead of re-running it.
@@ -1337,7 +1266,7 @@ void PlacementServer::finish_job_locked(Job& job, JobState state) {
   evict_terminal_locked();
   publish_job_metrics(job.rec);
   job.cv.notify_all();
-  batch_cv_.notify_all();  // batch_wait re-aggregates on any settle
+  group_cv_.notify_all();  // group_wait re-aggregates on any settle
 }
 
 void PlacementServer::evict_terminal_locked() {
@@ -1423,12 +1352,10 @@ void PlacementServer::recover_from_journal() {
 
   if (replay.missing || plan.clean_shutdown) {
     next_id_ = std::max<std::uint64_t>(next_id_, plan.max_id + 1);
-    next_batch_id_ = std::max<std::uint64_t>(next_batch_id_,
-                                             plan.max_batch_id + 1);
-    next_portfolio_id_ = std::max<std::uint64_t>(next_portfolio_id_,
-                                                 plan.max_portfolio_id + 1);
+    next_group_id_ = std::max<std::uint64_t>(next_group_id_,
+                                             plan.max_group_id + 1);
     if (!journal_.open(path, /*truncate=*/true)) journal_degraded_ = true;
-    // Uploaded designs outlive a clean shutdown (batches and job results do
+    // Uploaded designs outlive a clean shutdown (groups and job results do
     // not — same retention as the result store): re-register the sources and
     // re-journal their refs into the fresh journal.
     register_designs(/*mark_journaled=*/false);
@@ -1453,31 +1380,11 @@ void PlacementServer::recover_from_journal() {
       journal_degraded_ = true;
     }
     next_id_ = std::max<std::uint64_t>(next_id_, plan.max_id + 1);
-    next_batch_id_ = std::max<std::uint64_t>(next_batch_id_,
-                                             plan.max_batch_id + 1);
-    next_portfolio_id_ = std::max<std::uint64_t>(next_portfolio_id_,
-                                                 plan.max_portfolio_id + 1);
-    // Compaction re-emitted every design ref, batch, and portfolio record,
-    // so none of them needs re-journaling here.
+    next_group_id_ = std::max<std::uint64_t>(next_group_id_,
+                                             plan.max_group_id + 1);
+    // Compaction re-emitted every design ref and group record, so none of
+    // them needs re-journaling here.
     register_designs(/*mark_journaled=*/true);
-    for (const RecoveredBatch& rb : plan.batches) {
-      Batch b;
-      b.id = rb.id;
-      b.design_hash = rb.info.design_hash;
-      b.label = rb.info.label;
-      for (std::size_t i = 0; i < rb.info.job_ids.size(); ++i) {
-        b.jobs.push_back({rb.info.job_ids[i],
-                          i < rb.info.deduped.size() && rb.info.deduped[i] != 0});
-      }
-      b.submitted_s = log::elapsed_seconds();
-      batches_.emplace(rb.id, std::move(b));
-    }
-    for (const RecoveredPortfolio& rp : plan.portfolios) {
-      Portfolio p;
-      p.id = rp.id;
-      p.info = rp.info;
-      portfolios_.emplace(rp.id, std::move(p));
-    }
 
     const double now_wall = wall_seconds();
     std::size_t live = 0, restored = 0;
@@ -1532,6 +1439,7 @@ void PlacementServer::recover_from_journal() {
       // Deadline accounting across the restart: the journal carries wall
       // time, so elapsed real time (including the downtime) still counts
       // against the job's deadline.
+      ref.rec.error = rj.finish.error;  // the racer-kill mark, if any
       if (rj.spec.deadline_s > 0) {
         const double remaining =
             rj.spec.deadline_s - (now_wall - rj.submit_time_s);
@@ -1566,22 +1474,13 @@ void PlacementServer::recover_from_journal() {
       queue_.push(qj);
       ++live;
     }
-    // Portfolio kill counts are not journaled per kill (the member's kCancel/
-    // kFinish already is); approximate the tally from members that settled
-    // cancelled. The racer resumes judging the surviving members as soon as
+    // The racer resumes judging the live members of raced groups as soon as
     // its thread starts.
-    for (auto& [pid, p] : portfolios_) {
-      const auto bit = batches_.find(p.info.batch_id);
-      if (bit == batches_.end()) continue;
-      for (const BatchJobRef& r : bit->second.jobs) {
-        const auto jit = jobs_.find(r.id);
-        if (jit != jobs_.end() &&
-            jit->second->rec.state == JobState::kCancelled) {
-          ++p.killed;
-        }
-      }
+    for (RecoveredGroup& rg : plan.groups) {
+      groups_[rg.id].info = std::move(rg.info);
     }
     evict_terminal_locked();
+    retire_groups_locked();
     recovered_ = live;
     telemetry::Registry::global().counter("serve.recovered")
         .inc(static_cast<std::uint64_t>(live));

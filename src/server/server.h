@@ -140,95 +140,62 @@ class PlacementServer {
   std::vector<DesignStore::Entry> list_designs() const;
   bool evict_design(std::uint64_t hash, std::string* error);
 
-  // ---- batch sweeps --------------------------------------------------------
-  struct BatchJobRef {
-    std::uint64_t id = 0;
-    bool deduped = false;
-  };
-  struct BatchSubmitOutcome {
+  // ---- groups: sweeps and portfolios (DESIGN.md §14, §16) ------------------
+  // A group is N member jobs on one design plus an optional race policy. One
+  // id sequence, one status/wait/cancel family; members are ordinary jobs.
+  struct GroupSubmitOutcome {
     bool ok = false;
-    std::uint64_t batch_id = 0;
+    std::uint64_t id = 0;  ///< the group id (batch and portfolio verbs alike)
     std::uint64_t design_hash = 0;
-    std::vector<BatchJobRef> jobs;
+    std::vector<GroupMember> jobs;  ///< config (plan) order
     std::string error;
   };
   /// Atomically fans `configs` (each a full JobSpec whose design fields are
-  /// overwritten with the batch's design) out as ordinary jobs on the queue.
+  /// overwritten with the group's design) out as ordinary jobs on the queue.
   /// All-or-nothing admission: if the queue cannot take every non-deduped
-  /// config, the whole batch is rejected. The design is resolved (one parse,
+  /// config, the whole group is rejected. The design is resolved (one parse,
   /// ever) before any job is enqueued.
-  BatchSubmitOutcome submit_batch(const JobSpec& base,
+  GroupSubmitOutcome submit_batch(const JobSpec& base,
                                   const std::vector<JobSpec>& configs);
+  /// Admits K perturbed restarts of `base`'s design as one raced group
+  /// (opt::make_portfolio_plan variants: distinct seeds, noise-injected
+  /// anchors, varied γ/λ schedules) under `deadline_s`; the racer thread
+  /// early-kills strict laggards per `policy`. base.seed seeds the plan; the
+  /// group is deterministic from (design, k, base.seed).
+  GroupSubmitOutcome submit_portfolio(const JobSpec& base, int k,
+                                      double deadline_s,
+                                      const RacePolicy& policy);
 
-  struct BatchStatus {
+  struct GroupStatus {
     std::uint64_t id = 0;
-    std::uint64_t design_hash = 0;
-    std::string label;
-    std::vector<BatchJobRef> jobs;
+    GroupInfo info;  ///< members, design, label, race fields
+    /// A member whose record the result store has evicted counts as done.
     std::size_t queued = 0, running = 0, done = 0, cancelled = 0, failed = 0,
                 shed = 0;
+    /// Resident members whose record says the racer killed them
+    /// (kRacerKillError).
+    std::size_t killed = 0;
     bool all_terminal = false;
-    double best_hpwl = 0.0;       ///< min final HPWL among done jobs (0 = none)
+    /// Best member: lowest final HPWL among done members (legalized DP HPWL
+    /// when the flow ran, GP HPWL otherwise); ties break on the lower job id
+    /// so the selection is deterministic. 0 = no done member yet.
     std::uint64_t best_job = 0;
+    double best_hpwl = 0.0;
   };
-  /// nullopt = unknown batch id.
-  std::optional<BatchStatus> batch_status(std::uint64_t id) const;
-  /// Blocks until every member job is terminal (or timeout); nullopt =
-  /// unknown id. On timeout returns the current aggregate.
-  std::optional<BatchStatus> batch_wait(std::uint64_t id, double timeout_s) const;
-  /// Cancels every non-terminal member of a batch in one shot (queued members
-  /// settle immediately, running members get their stop tokens armed). Dedup
-  /// members whose serving job belongs to another batch are cancelled too —
-  /// a batch-cancel means "stop spending on this sweep". Returns false with
-  /// *error only for unknown batch ids; *cancelled counts members acted on.
-  bool batch_cancel(std::uint64_t id, std::size_t* cancelled,
-                    std::string* error);
-
-  // ---- portfolio racing (DESIGN.md §16) ------------------------------------
-  struct PortfolioSubmitOutcome {
-    bool ok = false;
-    std::uint64_t portfolio_id = 0;
-    std::uint64_t batch_id = 0;   ///< the member batch (batch verbs work too)
-    std::uint64_t design_hash = 0;
-    std::vector<BatchJobRef> jobs;  ///< K members, plan order (v0 first)
-    std::string error;
-  };
-  /// Launches K perturbed restarts of `base`'s design as one all-or-nothing
-  /// batch (opt::make_portfolio_plan variants: distinct seeds, noise-injected
-  /// anchors, varied γ/λ schedules) raced under `deadline_s` by the racer
-  /// thread, which early-kills strict laggards per `policy`. base.seed seeds
-  /// the plan; the portfolio is deterministic from (design, k, base.seed).
-  PortfolioSubmitOutcome submit_portfolio(const JobSpec& base, int k,
-                                          double deadline_s,
-                                          const RacePolicy& policy);
-  /// submit_portfolio with the server-default policy.
-  PortfolioSubmitOutcome submit_portfolio(const JobSpec& base, int k,
-                                          double deadline_s);
-
-  struct PortfolioStatus {
-    std::uint64_t id = 0;
-    std::uint64_t batch_id = 0;
-    std::uint64_t design_hash = 0;
-    std::uint64_t base_seed = 0;
-    std::string label;
-    std::vector<BatchJobRef> jobs;
-    std::size_t queued = 0, running = 0, done = 0, cancelled = 0, failed = 0,
-                shed = 0;
-    std::size_t killed = 0;   ///< members the racer cancelled as laggards
-    bool all_terminal = false;
-    /// Winner: best final HPWL among done members (legalized DP HPWL when the
-    /// flow ran, GP HPWL otherwise; ties break on the lower job id so the
-    /// selection is deterministic). 0 = no done member yet.
-    std::uint64_t winner = 0;
-    double winner_hpwl = 0.0;
-    double deadline_s = 0.0;
-  };
-  /// nullopt = unknown portfolio id.
-  std::optional<PortfolioStatus> portfolio_status(std::uint64_t id) const;
+  /// nullopt = unknown or retired group id. Beyond result_capacity rows, the
+  /// oldest settled rows are retired when a new group is admitted.
+  std::optional<GroupStatus> group_status(std::uint64_t id) const;
   /// Blocks until every member is terminal (or timeout); on timeout returns
-  /// the current aggregate. nullopt = unknown id.
-  std::optional<PortfolioStatus> portfolio_wait(std::uint64_t id,
-                                                double timeout_s) const;
+  /// the current aggregate. nullopt = unknown or retired id.
+  std::optional<GroupStatus> group_wait(std::uint64_t id,
+                                        double timeout_s) const;
+  /// Cancels every non-terminal member of a group in one shot (queued members
+  /// settle immediately, running members get their stop tokens armed). Dedup
+  /// members whose serving job belongs to another group are cancelled too —
+  /// a group cancel means "stop spending on this group". Returns false with
+  /// *error only for unknown ids; *cancelled counts members acted on.
+  bool group_cancel(std::uint64_t id, std::size_t* cancelled,
+                    std::string* error);
 
   /// Cancels a job. Queued → terminal kCancelled immediately; running → its
   /// StopToken is armed and the job lands terminal shortly (with the best-
@@ -285,16 +252,15 @@ class PlacementServer {
     LatencySummary queue_wait;          ///< submit → start, terminal jobs
     LatencySummary run;                 ///< start → finish
     LatencySummary e2e;                 ///< submit → finish
-    // Design store + batch sweeps (DESIGN.md §14).
+    // Design store + groups (DESIGN.md §14, §16).
     std::uint64_t design_parses = 0;
     std::uint64_t design_cache_hits = 0;
     std::uint64_t design_cache_evictions = 0;
     std::size_t designs_resident = 0;
     std::size_t design_resident_bytes = 0;
-    std::size_t batches = 0;            ///< batches tracked (live + retained)
+    std::size_t groups = 0;        ///< group rows tracked (live + retained)
+    std::size_t raced_groups = 0;  ///< of which raced (portfolios)
     std::uint64_t dedup_hits = 0;       ///< submits served from the result cache
-    // Portfolio racing (DESIGN.md §16).
-    std::size_t portfolios = 0;         ///< portfolios tracked
     std::uint64_t portfolio_kills = 0;  ///< laggards killed early by the racer
   };
   Stats stats() const;
@@ -336,21 +302,26 @@ class PlacementServer {
   void evict_terminal_locked();
   void publish_job_metrics(const JobRecord& rec);
 
-  // Design store + batch plumbing (DESIGN.md §14).
-  /// Core submit path shared by submit() and submit_batch(); caller holds
+  // Design store + group plumbing (DESIGN.md §14).
+  /// Core submit path shared by submit() and submit_group(); caller holds
   /// mutex_. Performs the dedup lookup (spec.dedup + dedup_hash), allocates
   /// the id, journals, and enqueues. dedup_hash = the spec's design content
   /// hash (0 = dedup unavailable). allow_shed gates the displace-weaker
-  /// admission path (off for batch members: batches are all-or-nothing).
+  /// admission path (off for group members: groups are all-or-nothing).
   SubmitOutcome submit_spec_locked(JobSpec spec, std::uint64_t dedup_hash,
                                    bool allow_shed);
-  /// Cancel core shared by cancel(), batch_cancel(), and the portfolio
+  /// Admission shared by submit_batch() and submit_portfolio(): one design
+  /// resolve, an all-or-nothing seat check, submit_spec_locked per member
+  /// and one kGroup record. `info` carries the race fields of a raced group;
+  /// a raced group's members are labelled `<group label>_<config label>`.
+  GroupSubmitOutcome submit_group(const JobSpec& base,
+                                  std::vector<JobSpec> configs, GroupInfo info);
+  /// Cancel core shared by cancel(), group_cancel(), and the portfolio
   /// racer's early-kill; caller holds mutex_.
   bool cancel_locked(std::uint64_t id, std::string* error);
   /// FNV-1a over the placement-config slice of a spec (everything that
   /// changes the result at a fixed design) — the dedup key's second half.
   std::uint64_t config_hash(const JobSpec& spec) const;
-  BatchStatus batch_status_locked(std::uint64_t id) const;
   void journal_design_ref_locked(std::uint64_t hash,
                                  const DesignStore::SourceRef& ref);
 
@@ -376,7 +347,7 @@ class PlacementServer {
 
   mutable std::mutex mutex_;
   mutable std::condition_variable budget_cv_;
-  mutable std::condition_variable batch_cv_;  ///< batch_wait: job settled
+  mutable std::condition_variable group_cv_;  ///< group_wait: job settled
   std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
   std::deque<std::uint64_t> terminal_order_;  // eviction FIFO
   std::uint64_t next_id_ = 1;
@@ -393,32 +364,22 @@ class PlacementServer {
   std::uint64_t deadline_missed_ = 0;
   std::uint64_t dedup_hits_ = 0;
 
-  // Batch sweeps (under mutex_). Batches are bookkeeping only — member jobs
-  // live in jobs_ like any other; a batch row just names them.
-  struct Batch {
-    std::uint64_t id = 0;
-    std::uint64_t design_hash = 0;
-    std::string label;
-    std::vector<BatchJobRef> jobs;
-    double submitted_s = 0.0;
+  // Groups (under mutex_). Bookkeeping only — member jobs live in jobs_
+  // like any other; a row names them plus the race policy of a raced group.
+  struct Group {
+    GroupInfo info;        ///< journaled as the group's kGroup record
+    bool settled = false;  ///< raced: all members terminal, racer is done
   };
-  std::map<std::uint64_t, Batch> batches_;
-  std::uint64_t next_batch_id_ = 1;
-
-  // Portfolio racing (under mutex_, DESIGN.md §16). A portfolio row names a
-  // batch plus the racing policy; member jobs live in jobs_ like any other.
-  struct Portfolio {
-    std::uint64_t id = 0;
-    PortfolioInfo info;       ///< batch id, design, seed, K, policy (journaled)
-    std::size_t killed = 0;   ///< laggards the racer cancelled
-    bool settled = false;     ///< all members terminal; racer stops sampling
-  };
-  std::map<std::uint64_t, Portfolio> portfolios_;
-  std::uint64_t next_portfolio_id_ = 1;
+  std::map<std::uint64_t, Group> groups_;
+  std::uint64_t next_group_id_ = 1;
   std::uint64_t portfolio_kills_ = 0;
 
-  PortfolioStatus portfolio_status_locked(const Portfolio& p) const;
-  /// One racer pass over every live portfolio: sample member progress from
+  GroupStatus group_status_locked(std::uint64_t id, const Group& g) const;
+  /// Rows share the result store's bound (DESIGN.md §12): while there are
+  /// more than result_capacity, the lowest-id row whose members are all
+  /// terminal goes. A row with a live member is never retired.
+  void retire_groups_locked();
+  /// One racer pass over every live raced group: sample member progress from
   /// the event rings, kill strict laggards via cancel_locked. Caller holds
   /// mutex_.
   void race_portfolios_locked();

@@ -226,9 +226,10 @@ json::Object stats_to_json(const PlacementServer::Stats& s) {
   design.emplace_back("resident_bytes",
                       static_cast<std::uint64_t>(s.design_resident_bytes));
   o.emplace_back("design", json::Value(std::move(design)));
-  o.emplace_back("batches", s.batches);
+  // Every group is a batch; the raced ones are the portfolios.
+  o.emplace_back("batches", static_cast<std::uint64_t>(s.groups));
   o.emplace_back("dedup_hits", s.dedup_hits);
-  o.emplace_back("portfolios", static_cast<std::uint64_t>(s.portfolios));
+  o.emplace_back("portfolios", static_cast<std::uint64_t>(s.raced_groups));
   o.emplace_back("portfolio_kills", s.portfolio_kills);
   return o;
 }
@@ -247,61 +248,44 @@ json::Object design_to_json(const DesignStore::Entry& e) {
   return o;
 }
 
-json::Object batch_to_json(const PlacementServer::BatchStatus& b) {
-  json::Object o;
-  o.emplace_back("id", b.id);
-  o.emplace_back("design", hash_to_hex(b.design_hash));
-  if (!b.label.empty()) o.emplace_back("label", b.label);
+/// The "jobs" member array shared by the group aggregate and submit replies.
+json::Array members_to_json(const std::vector<GroupMember>& members) {
   json::Array jobs;
-  for (const auto& j : b.jobs) {
+  for (const GroupMember& m : members) {
     json::Object jo;
-    jo.emplace_back("id", j.id);
-    jo.emplace_back("dedup", json::Value(j.deduped));
+    jo.emplace_back("id", m.id);
+    jo.emplace_back("dedup", json::Value(m.deduped));
     jobs.emplace_back(std::move(jo));
   }
-  o.emplace_back("jobs", json::Value(std::move(jobs)));
-  o.emplace_back("queued", static_cast<std::uint64_t>(b.queued));
-  o.emplace_back("running", static_cast<std::uint64_t>(b.running));
-  o.emplace_back("done", static_cast<std::uint64_t>(b.done));
-  o.emplace_back("cancelled", static_cast<std::uint64_t>(b.cancelled));
-  o.emplace_back("failed", static_cast<std::uint64_t>(b.failed));
-  o.emplace_back("shed", static_cast<std::uint64_t>(b.shed));
-  o.emplace_back("all_terminal", json::Value(b.all_terminal));
-  if (b.best_job != 0) {
-    o.emplace_back("best_hpwl", b.best_hpwl);
-    o.emplace_back("best_job", b.best_job);
-  }
-  return o;
+  return jobs;
 }
 
-json::Object portfolio_to_json(const PlacementServer::PortfolioStatus& p) {
+json::Object group_to_json(const PlacementServer::GroupStatus& g) {
+  const GroupInfo& info = g.info;
   json::Object o;
-  o.emplace_back("id", p.id);
-  o.emplace_back("batch", p.batch_id);
-  o.emplace_back("design", hash_to_hex(p.design_hash));
-  if (!p.label.empty()) o.emplace_back("label", p.label);
-  o.emplace_back("base_seed", p.base_seed);
-  json::Array jobs;
-  for (const auto& j : p.jobs) {
-    json::Object jo;
-    jo.emplace_back("id", j.id);
-    jo.emplace_back("dedup", json::Value(j.deduped));
-    jobs.emplace_back(std::move(jo));
+  o.emplace_back("id", g.id);
+  if (info.raced) o.emplace_back("batch", g.id);  // its own member batch
+  o.emplace_back("design", hash_to_hex(info.design_hash));
+  if (!info.label.empty()) o.emplace_back("label", info.label);
+  if (info.raced) o.emplace_back("base_seed", info.base_seed);
+  o.emplace_back("jobs", json::Value(members_to_json(info.members)));
+  o.emplace_back("queued", static_cast<std::uint64_t>(g.queued));
+  o.emplace_back("running", static_cast<std::uint64_t>(g.running));
+  o.emplace_back("done", static_cast<std::uint64_t>(g.done));
+  o.emplace_back("cancelled", static_cast<std::uint64_t>(g.cancelled));
+  o.emplace_back("failed", static_cast<std::uint64_t>(g.failed));
+  o.emplace_back("shed", static_cast<std::uint64_t>(g.shed));
+  if (info.raced) {
+    o.emplace_back("killed", static_cast<std::uint64_t>(g.killed));
   }
-  o.emplace_back("jobs", json::Value(std::move(jobs)));
-  o.emplace_back("queued", static_cast<std::uint64_t>(p.queued));
-  o.emplace_back("running", static_cast<std::uint64_t>(p.running));
-  o.emplace_back("done", static_cast<std::uint64_t>(p.done));
-  o.emplace_back("cancelled", static_cast<std::uint64_t>(p.cancelled));
-  o.emplace_back("failed", static_cast<std::uint64_t>(p.failed));
-  o.emplace_back("shed", static_cast<std::uint64_t>(p.shed));
-  o.emplace_back("killed", static_cast<std::uint64_t>(p.killed));
-  o.emplace_back("all_terminal", json::Value(p.all_terminal));
-  if (p.winner != 0) {
-    o.emplace_back("winner", p.winner);
-    o.emplace_back("winner_hpwl", p.winner_hpwl);
+  o.emplace_back("all_terminal", json::Value(g.all_terminal));
+  if (g.best_job != 0) {
+    o.emplace_back("best_hpwl", g.best_hpwl);
+    o.emplace_back("best_job", g.best_job);
   }
-  if (p.deadline_s > 0) o.emplace_back("deadline_s", p.deadline_s);
+  if (info.raced && info.deadline_s > 0) {
+    o.emplace_back("deadline_s", info.deadline_s);
+  }
   return o;
 }
 
@@ -413,41 +397,65 @@ void handle_connection(PlacementServer& server, ServeState& state, int fd) {
         }
         break;
       }
-      case Command::kSubmitBatch: {
-        const auto out = server.submit_batch(req.spec, req.configs);
+      case Command::kSubmitBatch:
+      case Command::kSubmitPortfolio: {
+        const bool race = req.cmd == Command::kSubmitPortfolio;
+        PlacementServer::GroupSubmitOutcome out;
+        if (race) {
+          // Racer policy: server default with any per-request overrides.
+          RacePolicy policy = server.config().portfolio_policy;
+          if (req.kill_min_iter >= 0) policy.min_iter = req.kill_min_iter;
+          if (req.kill_margin > 0) policy.hpwl_margin = req.kill_margin;
+          if (req.kill_slack != kNoSlackOverride) {
+            policy.overflow_slack = req.kill_slack;
+          }
+          if (req.no_kill) policy.no_kill = true;
+          out = server.submit_portfolio(req.spec, req.k, req.spec.deadline_s,
+                                        policy);
+        } else {
+          out = server.submit_batch(req.spec, req.configs);
+        }
         if (!out.ok) {
           stream.write_line(make_error(out.error));
           break;
         }
         json::Object o;
-        o.emplace_back("batch", out.batch_id);
+        if (race) o.emplace_back("portfolio", out.id);
+        o.emplace_back("batch", out.id);
         o.emplace_back("design", hash_to_hex(out.design_hash));
-        json::Array jobs;
-        for (const auto& j : out.jobs) {
-          json::Object jo;
-          jo.emplace_back("id", j.id);
-          jo.emplace_back("dedup", json::Value(j.deduped));
-          jobs.emplace_back(std::move(jo));
-        }
-        o.emplace_back("jobs", json::Value(std::move(jobs)));
+        o.emplace_back("jobs", json::Value(members_to_json(out.jobs)));
         stream.write_line(make_ok(std::move(o)));
         break;
       }
       case Command::kBatchStatus:
-      case Command::kBatchResult: {
-        const bool block = req.cmd == Command::kBatchResult && req.wait;
-        const auto batch = block ? server.batch_wait(req.id, req.timeout_s)
-                                 : server.batch_status(req.id);
-        if (!batch) {
-          stream.write_line(make_error("unknown batch id"));
+      case Command::kBatchResult:
+      case Command::kPortfolioStatus:
+      case Command::kPortfolioResult: {
+        // One group family; the verb only picks the reply key, and
+        // portfolio-result adds the best member's full record as "winner".
+        const bool portfolio = req.cmd == Command::kPortfolioStatus ||
+                               req.cmd == Command::kPortfolioResult;
+        const bool result = req.cmd == Command::kBatchResult ||
+                            req.cmd == Command::kPortfolioResult;
+        const char* key = portfolio ? "portfolio" : "batch";
+        const auto g = result && req.wait
+                           ? server.group_wait(req.id, req.timeout_s)
+                           : server.group_status(req.id);
+        if (!g) {
+          stream.write_line(make_error(std::string("unknown ") + key + " id"));
           break;
         }
         json::Object o;
-        o.emplace_back("batch", json::Value(batch_to_json(*batch)));
-        if (req.cmd == Command::kBatchResult) {
+        o.emplace_back(key, json::Value(group_to_json(*g)));
+        if (result) {
+          if (portfolio && g->best_job != 0) {
+            if (const auto rec = server.status(g->best_job)) {
+              o.emplace_back("winner", json::Value(job_to_json(*rec)));
+            }
+          }
           json::Array jobs;
-          for (const auto& j : batch->jobs) {
-            if (const auto rec = server.status(j.id)) {
+          for (const GroupMember& m : g->info.members) {
+            if (const auto rec = server.status(m.id)) {
               jobs.emplace_back(job_to_json(*rec));
             }
           }
@@ -459,70 +467,12 @@ void handle_connection(PlacementServer& server, ServeState& state, int fd) {
       case Command::kBatchCancel: {
         std::size_t cancelled = 0;
         std::string why;
-        if (!server.batch_cancel(req.id, &cancelled, &why)) {
+        if (!server.group_cancel(req.id, &cancelled, &why)) {
           stream.write_line(make_error(why));
           break;
         }
         json::Object o;
         o.emplace_back("cancelled", static_cast<std::uint64_t>(cancelled));
-        stream.write_line(make_ok(std::move(o)));
-        break;
-      }
-      case Command::kSubmitPortfolio: {
-        // Racer policy: server default with any per-request overrides.
-        RacePolicy policy = server.config().portfolio_policy;
-        if (req.kill_min_iter >= 0) policy.min_iter = req.kill_min_iter;
-        if (req.kill_margin > 0) policy.hpwl_margin = req.kill_margin;
-        if (req.kill_slack != kNoSlackOverride) {
-          policy.overflow_slack = req.kill_slack;
-        }
-        if (req.no_kill) policy.no_kill = true;
-        const auto out = server.submit_portfolio(req.spec, req.k,
-                                                 req.spec.deadline_s, policy);
-        if (!out.ok) {
-          stream.write_line(make_error(out.error));
-          break;
-        }
-        json::Object o;
-        o.emplace_back("portfolio", out.portfolio_id);
-        o.emplace_back("batch", out.batch_id);
-        o.emplace_back("design", hash_to_hex(out.design_hash));
-        json::Array jobs;
-        for (const auto& j : out.jobs) {
-          json::Object jo;
-          jo.emplace_back("id", j.id);
-          jo.emplace_back("dedup", json::Value(j.deduped));
-          jobs.emplace_back(std::move(jo));
-        }
-        o.emplace_back("jobs", json::Value(std::move(jobs)));
-        stream.write_line(make_ok(std::move(o)));
-        break;
-      }
-      case Command::kPortfolioStatus:
-      case Command::kPortfolioResult: {
-        const bool block = req.cmd == Command::kPortfolioResult && req.wait;
-        const auto p = block ? server.portfolio_wait(req.id, req.timeout_s)
-                             : server.portfolio_status(req.id);
-        if (!p) {
-          stream.write_line(make_error("unknown portfolio id"));
-          break;
-        }
-        json::Object o;
-        o.emplace_back("portfolio", json::Value(portfolio_to_json(*p)));
-        if (req.cmd == Command::kPortfolioResult) {
-          if (p->winner != 0) {
-            if (const auto rec = server.status(p->winner)) {
-              o.emplace_back("winner", json::Value(job_to_json(*rec)));
-            }
-          }
-          json::Array jobs;
-          for (const auto& j : p->jobs) {
-            if (const auto rec = server.status(j.id)) {
-              jobs.emplace_back(job_to_json(*rec));
-            }
-          }
-          o.emplace_back("jobs", json::Value(std::move(jobs)));
-        }
         stream.write_line(make_ok(std::move(o)));
         break;
       }

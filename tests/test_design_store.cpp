@@ -2,8 +2,9 @@
 // hashing (demo generator keys and aux file bytes), parse-once snapshot
 // caching with copy-on-write materialization, bitwise cached-vs-fresh GP
 // parity, concurrent snapshot sharing, LRU eviction + pin semantics, the
-// server's submit-batch sweep API with (design, config) result dedup, and
-// design/batch recovery from fabricated journals.
+// server's submit-batch sweep API with (design, config) result dedup, group
+// retirement beyond result_capacity, and design/group recovery from
+// fabricated journals.
 //
 // Determinism note: every placement here runs at thread count 1 (the server
 // default), so the bitwise comparisons hold in every CI lane.
@@ -363,7 +364,7 @@ TEST(ServerBatch, SweepParsesOnceDedupsRepeatsAndMatchesSingleShot) {
   EXPECT_EQ(batch.jobs[3].id, batch.jobs[0].id);
   EXPECT_FALSE(batch.jobs[4].deduped);  // density change = different config
 
-  const auto status = srv.batch_wait(batch.batch_id, 300.0);
+  const auto status = srv.group_wait(batch.id, 300.0);
   ASSERT_TRUE(status.has_value());
   EXPECT_TRUE(status->all_terminal);
   EXPECT_EQ(status->done, 5u);
@@ -374,7 +375,7 @@ TEST(ServerBatch, SweepParsesOnceDedupsRepeatsAndMatchesSingleShot) {
   EXPECT_EQ(st.design_parses, 1u);
   EXPECT_GE(st.design_cache_hits, 4u);
   EXPECT_EQ(st.dedup_hits, 1u);
-  EXPECT_EQ(st.batches, 1u);
+  EXPECT_EQ(st.groups, 1u);
 
   // Dedup hit = the identical record, field for field.
   const auto r0 = srv.status(batch.jobs[0].id);
@@ -428,6 +429,45 @@ TEST(ServerBatch, WholeBatchRejectedWhenQueueCannotTakeIt) {
   srv.shutdown(/*drain=*/false);
 }
 
+TEST(ServerBatch, SettledGroupsRetireBeyondResultCapacity) {
+  ServerConfig cfg;
+  cfg.max_concurrency = 1;
+  cfg.result_capacity = 2;
+  PlacementServer srv(cfg);
+  JobSpec base;
+  base.demo_cells = 120;
+  base.demo_seed = 3;
+  const auto settle = [&](std::vector<JobSpec> configs) {
+    const auto out = srv.submit_batch(base, configs);
+    EXPECT_TRUE(out.ok) << out.error;
+    const auto st = srv.group_wait(out.id, 120.0);
+    EXPECT_TRUE(st.has_value() && st->all_terminal);
+    return out.id;
+  };
+  // Three settled one-config sweeps: the third admission retires the oldest.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    EXPECT_EQ(settle({batch_config(seed, 10)}), seed);
+  }
+  EXPECT_FALSE(srv.group_status(1).has_value());
+  EXPECT_TRUE(srv.group_status(3).has_value());
+  EXPECT_LE(srv.stats().groups, 2u);
+  std::size_t cancelled = 0;
+  std::string err;
+  EXPECT_FALSE(srv.group_cancel(1, &cancelled, &err));
+
+  // A sweep served entirely from the cache admits no job, so it adds no
+  // record to evict; its rows are held to the same bound.
+  for (std::size_t i = 0; i <= cfg.result_capacity; ++i) {
+    const std::uint64_t cached = settle({batch_config(3, 10)});
+    const auto hit = srv.group_status(cached);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(hit->info.members[0].deduped);
+    EXPECT_LE(srv.stats().groups, cfg.result_capacity);
+  }
+  EXPECT_EQ(srv.stats().submitted, 3u);
+  srv.shutdown(/*drain=*/false);
+}
+
 // ---------------------------------------------------------------------------
 // Journal codecs + recovery
 // ---------------------------------------------------------------------------
@@ -449,28 +489,36 @@ TEST(RecoveryCodecs, DesignRefAndBatchRoundTrip) {
   EXPECT_FALSE(ref2.demo);
   EXPECT_EQ(ref2.aux, aux_ref.aux);
 
-  BatchInfo batch;
-  batch.design_hash = 0xabcdef0123456789ull;
-  batch.label = "sweep";
-  batch.job_ids = {4, 7, 7, 9};
-  batch.deduped = {0, 0, 1, 0};
-  BatchInfo batch2;
-  ASSERT_TRUE(decode_batch(encode_batch(batch), &batch2));
-  EXPECT_EQ(batch2.design_hash, batch.design_hash);
-  EXPECT_EQ(batch2.label, batch.label);
-  EXPECT_EQ(batch2.job_ids, batch.job_ids);
-  EXPECT_EQ(batch2.deduped, batch.deduped);
+  GroupInfo sweep;
+  sweep.design_hash = 0xabcdef0123456789ull;
+  sweep.label = "sweep";
+  sweep.members = {{4, false}, {7, false}, {7, true}, {9, false}};
+  GroupInfo sweep2;
+  ASSERT_TRUE(decode_group(encode_group(sweep), &sweep2));
+  EXPECT_EQ(sweep2.design_hash, sweep.design_hash);
+  EXPECT_EQ(sweep2.label, sweep.label);
+  EXPECT_FALSE(sweep2.raced);
+  ASSERT_EQ(sweep2.members.size(), sweep.members.size());
+  for (std::size_t i = 0; i < sweep.members.size(); ++i) {
+    EXPECT_EQ(sweep2.members[i].id, sweep.members[i].id);
+    EXPECT_EQ(sweep2.members[i].deduped, sweep.members[i].deduped);
+  }
 
-  EXPECT_FALSE(decode_batch("short", &batch2));
+  EXPECT_FALSE(decode_group("short", &sweep2));
   EXPECT_FALSE(decode_design_ref("", &ref2));
+  // A payload with trailing bytes is rejected, never partially decoded.
+  EXPECT_FALSE(decode_group(encode_group(sweep) + '\0', &sweep2));
+  EXPECT_FALSE(decode_design_ref(encode_design_ref(ref) + '\0', &ref2));
 }
 
 TEST(Recovery, DesignsAndBatchesSurviveCrashRestart) {
   const fs::path state = fresh_dir("batchrecover");
   const std::uint64_t dhash = io::demo_content_hash(130, 5);
 
-  // Fabricate the journal a crashed daemon would leave: a design ref, one
-  // finished batch member, and the batch record — no clean-shutdown marker.
+  // Fabricate the journal a daemon killed mid-sweep would leave: a design
+  // ref; sweep 1 with a finished member, a member that finished at HPWL 0.0
+  // (listed first) and a still-queued member; sweep 2 with two members tied
+  // on HPWL (the higher id listed first); no clean-shutdown marker.
   {
     io::JournalWriter w;
     ASSERT_TRUE(w.open((state / "journal.xpjl").string(), /*truncate=*/true));
@@ -489,23 +537,37 @@ TEST(Recovery, DesignsAndBatchesSurviveCrashRestart) {
     ref.seed = 5;
     ASSERT_TRUE(w.append(rec(JournalEvent::kDesignRef, dhash,
                              encode_design_ref(ref))));
-    JobSpec spec = batch_config(1);
-    spec.design_hash = dhash;
-    spec.batch_id = 1;
-    ASSERT_TRUE(w.append(rec(JournalEvent::kSubmit, 1,
-                             encode_submit(spec, /*attempt=*/0))));
-    ASSERT_TRUE(w.append(rec(JournalEvent::kStart, 1, {})));
-    FinishInfo fin;
-    fin.state = JobState::kDone;
-    fin.hpwl = 42.5;
-    fin.iterations = 25;
-    ASSERT_TRUE(w.append(rec(JournalEvent::kFinish, 1, encode_finish(fin))));
-    BatchInfo batch;
-    batch.design_hash = dhash;
-    batch.label = "sweep";
-    batch.job_ids = {1};
-    batch.deduped = {0};
-    ASSERT_TRUE(w.append(rec(JournalEvent::kBatch, 1, encode_batch(batch))));
+    const auto finished = [&](std::uint64_t id, std::uint64_t seed,
+                              double hpwl) {
+      JobSpec spec = batch_config(seed);
+      spec.design_hash = dhash;
+      ASSERT_TRUE(w.append(rec(JournalEvent::kSubmit, id,
+                               encode_submit(spec, /*attempt=*/0))));
+      ASSERT_TRUE(w.append(rec(JournalEvent::kStart, id, {})));
+      FinishInfo fin;
+      fin.state = JobState::kDone;
+      fin.hpwl = hpwl;
+      fin.iterations = 25;
+      ASSERT_TRUE(w.append(rec(JournalEvent::kFinish, id, encode_finish(fin))));
+    };
+    finished(1, 1, 42.5);
+    finished(2, 2, 0.0);
+    JobSpec queued = batch_config(3);
+    queued.design_hash = dhash;
+    ASSERT_TRUE(w.append(rec(JournalEvent::kSubmit, 3,
+                             encode_submit(queued, /*attempt=*/0))));
+    GroupInfo sweep;
+    sweep.design_hash = dhash;
+    sweep.label = "sweep";
+    sweep.members = {{2, false}, {1, false}, {3, false}};
+    ASSERT_TRUE(w.append(rec(JournalEvent::kGroup, 1, encode_group(sweep))));
+    finished(4, 4, 50.0);
+    finished(5, 5, 50.0);
+    GroupInfo tie;
+    tie.design_hash = dhash;
+    tie.label = "tie";
+    tie.members = {{5, false}, {4, false}};
+    ASSERT_TRUE(w.append(rec(JournalEvent::kGroup, 2, encode_group(tie))));
   }
 
   ServerConfig cfg;
@@ -520,14 +582,31 @@ TEST(Recovery, DesignsAndBatchesSurviveCrashRestart) {
   EXPECT_EQ(rows[0].hash, dhash);
   EXPECT_FALSE(rows[0].resident);
 
-  // The batch aggregate survived and sees its restored terminal member.
-  const auto status = srv.batch_status(1);
+  // The sweep aggregate survived with its member list; the member that
+  // finished at HPWL 0.0 is the best one even though a later member is not.
+  const auto status = srv.group_status(1);
   ASSERT_TRUE(status.has_value());
-  EXPECT_EQ(status->design_hash, dhash);
-  EXPECT_EQ(status->label, "sweep");
-  EXPECT_TRUE(status->all_terminal);
-  EXPECT_EQ(status->done, 1u);
-  EXPECT_EQ(status->best_hpwl, 42.5);
+  EXPECT_EQ(status->info.design_hash, dhash);
+  EXPECT_EQ(status->info.label, "sweep");
+  ASSERT_EQ(status->info.members.size(), 3u);
+  EXPECT_EQ(status->info.members[0].id, 2u);
+  EXPECT_EQ(status->info.members[2].id, 3u);
+  EXPECT_EQ(status->done, 2u);
+  EXPECT_EQ(status->queued + status->running, 1u);
+  EXPECT_EQ(status->best_job, 2u);
+  EXPECT_EQ(status->best_hpwl, 0.0);
+  const auto settled = srv.group_wait(1, 120.0);
+  ASSERT_TRUE(settled.has_value());
+  EXPECT_TRUE(settled->all_terminal);
+  EXPECT_EQ(settled->done, 3u);
+  EXPECT_EQ(settled->best_job, 2u);
+
+  // Equal HPWL: the lower job id wins, whatever the config order.
+  const auto tie = srv.group_status(2);
+  ASSERT_TRUE(tie.has_value());
+  EXPECT_TRUE(tie->all_terminal);
+  EXPECT_EQ(tie->best_job, 4u);
+  EXPECT_EQ(tie->best_hpwl, 50.0);
 
   // The restored result keeps serving dedup: resubmitting the same config
   // against the same design returns job 1's record without running anything.
@@ -540,6 +619,13 @@ TEST(Recovery, DesignsAndBatchesSurviveCrashRestart) {
   const auto rec = srv.status(1);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->hpwl, 42.5);
+
+  // Group ids continue past the recovered ones.
+  JobSpec base;
+  base.design_hash = dhash;
+  const auto next = srv.submit_batch(base, {batch_config(9)});
+  ASSERT_TRUE(next.ok) << next.error;
+  EXPECT_EQ(next.id, 3u);
 
   srv.shutdown(/*drain=*/true);
   fs::remove_all(state);
@@ -604,7 +690,7 @@ TEST(ServerBatch, ConcurrentJobsShareOneSnapshot) {
                                   batch_config(12, 15), batch_config(13, 15)};
   const auto batch = srv.submit_batch(base, configs);
   ASSERT_TRUE(batch.ok) << batch.error;
-  const auto status = srv.batch_wait(batch.batch_id, 300.0);
+  const auto status = srv.group_wait(batch.id, 300.0);
   ASSERT_TRUE(status.has_value());
   EXPECT_TRUE(status->all_terminal);
   EXPECT_EQ(status->done, 4u);

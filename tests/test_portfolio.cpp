@@ -1,7 +1,8 @@
 // Portfolio-runner subsystem tests (DESIGN.md §16): deterministic plan
 // generation, the laggard-racing policy in isolation, end-to-end K-way
 // portfolios on an in-process PlacementServer (winner determinism, early
-// kill), crash-restart recovery from a fabricated journal, batch-cancel,
+// kill), crash-restart recovery from fabricated and copied journals
+// (members, best member and racer-kill counts), group cancel,
 // the hill-climb kick's never-worse guarantee, and the protocol/codec
 // round-trips for the new verbs.
 #include <gtest/gtest.h>
@@ -212,19 +213,19 @@ TEST(ServerPortfolio, DeterministicWinnerAcrossServers) {
         srv.submit_portfolio(portfolio_base(up.hash), 3, 0.0, no_kill);
     ASSERT_TRUE(out.ok) << out.error;
     ASSERT_EQ(out.jobs.size(), 3u);
-    const auto st = srv.portfolio_wait(out.portfolio_id, 300.0);
+    const auto st = srv.group_wait(out.id, 300.0);
     ASSERT_TRUE(st.has_value());
     ASSERT_TRUE(st->all_terminal);
     EXPECT_EQ(st->done, 3u);
-    ASSERT_NE(st->winner, 0u);
-    *winner = st->winner;
-    *winner_hpwl = st->winner_hpwl;
+    ASSERT_NE(st->best_job, 0u);
+    *winner = st->best_job;
+    *winner_hpwl = st->best_hpwl;
     *parses = srv.stats().design_parses;
     // The winner is the min-HPWL done member, and never worse than the
     // unperturbed baseline (member v0 = jobs[0]).
     const auto v0 = srv.status(out.jobs[0].id);
     ASSERT_TRUE(v0.has_value());
-    EXPECT_LE(st->winner_hpwl, v0->hpwl);
+    EXPECT_LE(st->best_hpwl, v0->hpwl);
     srv.shutdown(/*drain=*/false);
   };
   std::uint64_t w1 = 0, w2 = 0;
@@ -259,7 +260,7 @@ TEST(ServerPortfolio, VariantsAreDistinctUnderDedup) {
   // K distinct member jobs (no intra-portfolio dedup).
   EXPECT_NE(a.jobs[0].id, a.jobs[1].id);
   EXPECT_NE(a.jobs[1].id, a.jobs[2].id);
-  ASSERT_TRUE(srv.portfolio_wait(a.portfolio_id, 300.0)->all_terminal);
+  ASSERT_TRUE(srv.group_wait(a.id, 300.0)->all_terminal);
 
   const auto b =
       srv.submit_portfolio(portfolio_base(up.hash, 25), 3, 0.0, no_kill);
@@ -293,7 +294,7 @@ TEST(ServerPortfolio, EarlyKillCommitsLosersBestSnapshot) {
   const auto out =
       srv.submit_portfolio(portfolio_base(up.hash, 4000), 2, 0.0, aggressive);
   ASSERT_TRUE(out.ok) << out.error;
-  const auto st = srv.portfolio_wait(out.portfolio_id, 300.0);
+  const auto st = srv.group_wait(out.id, 300.0);
   ASSERT_TRUE(st.has_value());
   ASSERT_TRUE(st->all_terminal);
   ASSERT_GE(st->killed, 1u);
@@ -309,12 +310,13 @@ TEST(ServerPortfolio, EarlyKillCommitsLosersBestSnapshot) {
       ++cancelled_seen;
       EXPECT_GT(rec->iterations, 0);
       EXPECT_GT(rec->hpwl, 0.0);
+      EXPECT_EQ(rec->error, kRacerKillError);
     }
   }
   EXPECT_EQ(cancelled_seen, st->killed);
   // The winner survived and finished.
-  ASSERT_NE(st->winner, 0u);
-  const auto win = srv.status(st->winner);
+  ASSERT_NE(st->best_job, 0u);
+  const auto win = srv.status(st->best_job);
   ASSERT_TRUE(win.has_value());
   EXPECT_EQ(win->state, JobState::kDone);
   srv.shutdown(/*drain=*/false);
@@ -329,15 +331,25 @@ TEST(ServerPortfolio, SubmitValidation) {
   src.demo_seed = 2;
   const auto up = srv.upload_design(src);
   ASSERT_TRUE(up.ok) << up.error;
-  EXPECT_FALSE(srv.submit_portfolio(portfolio_base(up.hash), 1, 0.0).ok);
-  EXPECT_FALSE(srv.submit_portfolio(portfolio_base(up.hash), 65, 0.0).ok);
-  EXPECT_FALSE(srv.submit_portfolio(portfolio_base(up.hash), 4, -1.0).ok);
-  EXPECT_FALSE(srv.portfolio_status(99).has_value());
+  const RacePolicy& policy = srv.config().portfolio_policy;
+  EXPECT_FALSE(
+      srv.submit_portfolio(portfolio_base(up.hash), 1, 0.0, policy).ok);
+  EXPECT_FALSE(
+      srv.submit_portfolio(portfolio_base(up.hash), 65, 0.0, policy).ok);
+  EXPECT_FALSE(
+      srv.submit_portfolio(portfolio_base(up.hash), 4, -1.0, policy).ok);
+  EXPECT_FALSE(srv.group_status(99).has_value());
+  // Rejected portfolios burn no group id.
+  JobSpec sweep_base;
+  sweep_base.design_hash = up.hash;
+  const auto sweep = srv.submit_batch(sweep_base, {portfolio_base(up.hash)});
+  ASSERT_TRUE(sweep.ok) << sweep.error;
+  EXPECT_EQ(sweep.id, 1u);
   srv.shutdown(/*drain=*/false);
 }
 
 // ---------------------------------------------------------------------------
-// batch-cancel
+// group cancel
 // ---------------------------------------------------------------------------
 
 TEST(ServerBatchCancel, CancelsEveryNonTerminalMember) {
@@ -364,16 +376,87 @@ TEST(ServerBatchCancel, CancelsEveryNonTerminalMember) {
 
   std::size_t cancelled = 0;
   std::string err;
-  ASSERT_TRUE(srv.batch_cancel(batch.batch_id, &cancelled, &err)) << err;
+  ASSERT_TRUE(srv.group_cancel(batch.id, &cancelled, &err)) << err;
   EXPECT_GE(cancelled, 2u);  // the running member may already be terminal
-  const auto st = srv.batch_wait(batch.batch_id, 120.0);
+  const auto st = srv.group_wait(batch.id, 120.0);
   ASSERT_TRUE(st.has_value());
   EXPECT_TRUE(st->all_terminal);
+  EXPECT_EQ(st->killed, 0u);  // a group cancel is not a racer kill
   // Cancelling again is a no-op that still succeeds (0 members acted on).
-  ASSERT_TRUE(srv.batch_cancel(batch.batch_id, &cancelled, &err)) << err;
+  ASSERT_TRUE(srv.group_cancel(batch.id, &cancelled, &err)) << err;
   EXPECT_EQ(cancelled, 0u);
   // Unknown ids fail loudly.
-  EXPECT_FALSE(srv.batch_cancel(999, &cancelled, &err));
+  EXPECT_FALSE(srv.group_cancel(999, &cancelled, &err));
+  srv.shutdown(/*drain=*/false);
+}
+
+TEST(ServerPortfolio, GroupWithALiveSharedMemberIsNeverRetired) {
+  // No retained records, so every settled member is evicted at once. A k=4
+  // portfolio after a k=2 one on the same seed shares variants 0 and 1 with
+  // it (dedup hits on the first group's queued jobs). Once its own variants
+  // 2 and 3 settle, a new admission must still keep its row.
+  ServerConfig cfg;
+  cfg.max_concurrency = 1;
+  cfg.result_capacity = 0;
+  cfg.portfolio_poll_s = -1.0;
+  PlacementServer srv(cfg);
+  JobSpec src;
+  src.demo_cells = 1200;
+  src.demo_seed = 3;
+  const auto up = srv.upload_design(src);
+  ASSERT_TRUE(up.ok) << up.error;
+  JobSpec busy = portfolio_base(up.hash, 4000);
+  busy.seed = 9;
+  const auto hog = srv.submit(busy);  // holds the only slot
+  ASSERT_TRUE(hog.ok) << hog.error;
+
+  const RacePolicy& policy = srv.config().portfolio_policy;
+  const auto two = srv.submit_portfolio(portfolio_base(up.hash, 4000), 2, 0.0,
+                                        policy);
+  ASSERT_TRUE(two.ok) << two.error;
+  const auto four = srv.submit_portfolio(portfolio_base(up.hash, 4000), 4,
+                                         0.0, policy);
+  ASSERT_TRUE(four.ok) << four.error;
+  ASSERT_EQ(four.jobs.size(), 4u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(four.jobs[i].deduped);
+    EXPECT_EQ(four.jobs[i].id, two.jobs[i].id);
+  }
+  std::string err;
+  for (std::size_t i = 2; i < 4; ++i) {
+    ASSERT_TRUE(srv.cancel(four.jobs[i].id, &err)) << err;
+    EXPECT_FALSE(srv.status(four.jobs[i].id).has_value());  // evicted
+  }
+  JobSpec base;
+  base.design_hash = up.hash;
+  JobSpec other = portfolio_base(up.hash, 4000);
+  other.seed = 5;
+  const auto later = srv.submit_batch(base, {other});
+  ASSERT_TRUE(later.ok) << later.error;
+
+  const auto st = srv.group_wait(four.id, 0.0);
+  ASSERT_TRUE(st.has_value());
+  EXPECT_EQ(st->queued, 2u);
+  EXPECT_FALSE(st->all_terminal);
+  EXPECT_TRUE(srv.group_status(two.id).has_value());
+  EXPECT_EQ(srv.stats().groups, 3u);
+
+  // Once every member is terminal, the next admission retires all three
+  // settled rows (result_capacity = 0); the new one stays while it is live.
+  std::size_t n = 0;
+  ASSERT_TRUE(srv.group_cancel(two.id, &n, &err)) << err;
+  EXPECT_EQ(n, 2u);
+  ASSERT_TRUE(srv.group_cancel(later.id, &n, &err)) << err;
+  const auto done = srv.group_wait(four.id, 0.0);
+  ASSERT_TRUE(done.has_value() && done->all_terminal);
+  EXPECT_EQ(done->killed, 0u);
+  const auto last = srv.submit_batch(base, {other});
+  ASSERT_TRUE(last.ok) << last.error;
+  EXPECT_FALSE(srv.group_status(two.id).has_value());
+  EXPECT_FALSE(srv.group_status(four.id).has_value());
+  EXPECT_TRUE(srv.group_status(last.id).has_value());
+  EXPECT_EQ(srv.stats().groups, 1u);
+  ASSERT_TRUE(srv.cancel(hog.id, &err)) << err;
   srv.shutdown(/*drain=*/false);
 }
 
@@ -382,30 +465,45 @@ TEST(ServerBatchCancel, CancelsEveryNonTerminalMember) {
 // ---------------------------------------------------------------------------
 
 TEST(PortfolioRecovery, CodecRoundTrip) {
-  PortfolioInfo info;
-  info.batch_id = 7;
+  GroupInfo info;
   info.design_hash = 0xdeadbeefcafef00dULL;
-  info.base_seed = 11;
-  info.k = 4;
-  info.deadline_s = 120.5;
   info.label = "night_sweep";
-  info.min_iter = 25;
-  info.hpwl_margin = 1.08;
-  info.overflow_slack = -0.02;
-  info.no_kill = 1;
-  PortfolioInfo out;
-  ASSERT_TRUE(decode_portfolio(encode_portfolio(info), &out));
-  EXPECT_EQ(out.batch_id, info.batch_id);
+  info.members = {{3, false}, {4, false}, {5, true}, {6, false}};
+  info.raced = true;
+  info.base_seed = 11;
+  info.deadline_s = 120.5;
+  info.policy.min_iter = 25;
+  info.policy.hpwl_margin = 1.08;
+  info.policy.overflow_slack = -0.02;
+  info.policy.no_kill = true;
+  GroupInfo out;
+  ASSERT_TRUE(decode_group(encode_group(info), &out));
   EXPECT_EQ(out.design_hash, info.design_hash);
-  EXPECT_EQ(out.base_seed, info.base_seed);
-  EXPECT_EQ(out.k, info.k);
-  EXPECT_EQ(out.deadline_s, info.deadline_s);
   EXPECT_EQ(out.label, info.label);
-  EXPECT_EQ(out.min_iter, info.min_iter);
-  EXPECT_EQ(out.hpwl_margin, info.hpwl_margin);
-  EXPECT_EQ(out.overflow_slack, info.overflow_slack);
-  EXPECT_EQ(out.no_kill, info.no_kill);
-  EXPECT_FALSE(decode_portfolio("short", &out));
+  ASSERT_EQ(out.members.size(), info.members.size());
+  EXPECT_EQ(out.members[2].id, 5u);
+  EXPECT_TRUE(out.members[2].deduped);
+  EXPECT_TRUE(out.raced);
+  EXPECT_EQ(out.base_seed, info.base_seed);
+  EXPECT_EQ(out.deadline_s, info.deadline_s);
+  EXPECT_EQ(out.policy.min_iter, info.policy.min_iter);
+  EXPECT_EQ(out.policy.hpwl_margin, info.policy.hpwl_margin);
+  EXPECT_EQ(out.policy.overflow_slack, info.policy.overflow_slack);
+  EXPECT_EQ(out.policy.no_kill, info.policy.no_kill);
+  EXPECT_FALSE(decode_group("short", &out));
+  // A payload with trailing bytes is rejected, never partially decoded.
+  EXPECT_FALSE(decode_group(encode_group(info) + '\0', &out));
+}
+
+/// Journal record builder for the fabricated crash journals below.
+io::JournalRecord journal_rec(JournalEvent type, std::uint64_t id,
+                              std::string payload = {}) {
+  io::JournalRecord r;
+  r.type = static_cast<std::uint32_t>(type);
+  r.job_id = id;
+  r.time_s = 0.0;
+  r.payload = std::move(payload);
+  return r;
 }
 
 TEST(PortfolioRecovery, CrashMidPortfolioRecoversAndSettles) {
@@ -413,56 +511,42 @@ TEST(PortfolioRecovery, CrashMidPortfolioRecoversAndSettles) {
   const std::uint64_t dhash = io::demo_content_hash(130, 5);
 
   // Fabricate the journal a daemon killed mid-portfolio would leave: design
-  // ref, member 1 finished, member 2 still queued, the batch + portfolio
-  // records — and no clean-shutdown marker.
+  // ref, member 1 finished, member 2 still queued, the raced group record —
+  // and no clean-shutdown marker.
   {
     io::JournalWriter w;
     ASSERT_TRUE(w.open((state / "journal.xpjl").string(), /*truncate=*/true));
-    const auto rec = [](JournalEvent type, std::uint64_t id,
-                        std::string payload) {
-      io::JournalRecord r;
-      r.type = static_cast<std::uint32_t>(type);
-      r.job_id = id;
-      r.time_s = 0.0;
-      r.payload = std::move(payload);
-      return r;
-    };
     DesignRefInfo ref;
     ref.demo = true;
     ref.cells = 130;
     ref.seed = 5;
-    ASSERT_TRUE(w.append(rec(JournalEvent::kDesignRef, dhash,
-                             encode_design_ref(ref))));
+    ASSERT_TRUE(w.append(journal_rec(JournalEvent::kDesignRef, dhash,
+                                     encode_design_ref(ref))));
     JobSpec m1 = portfolio_base(dhash, 25);
-    m1.batch_id = 1;
-    m1.portfolio_id = 1;
     m1.dedup = true;
-    ASSERT_TRUE(w.append(rec(JournalEvent::kSubmit, 1, encode_submit(m1, 0))));
-    ASSERT_TRUE(w.append(rec(JournalEvent::kStart, 1, {})));
+    ASSERT_TRUE(
+        w.append(journal_rec(JournalEvent::kSubmit, 1, encode_submit(m1, 0))));
+    ASSERT_TRUE(w.append(journal_rec(JournalEvent::kStart, 1)));
     FinishInfo fin;
     fin.state = JobState::kDone;
     fin.hpwl = 42.5;
     fin.iterations = 25;
-    ASSERT_TRUE(w.append(rec(JournalEvent::kFinish, 1, encode_finish(fin))));
+    ASSERT_TRUE(
+        w.append(journal_rec(JournalEvent::kFinish, 1, encode_finish(fin))));
     JobSpec m2 = m1;
     m2.seed = 2;
     m2.gamma_scale = 1.1;
-    ASSERT_TRUE(w.append(rec(JournalEvent::kSubmit, 2, encode_submit(m2, 0))));
-    BatchInfo batch;
-    batch.design_hash = dhash;
-    batch.label = "p1";
-    batch.job_ids = {1, 2};
-    batch.deduped = {0, 0};
-    ASSERT_TRUE(w.append(rec(JournalEvent::kBatch, 1, encode_batch(batch))));
-    PortfolioInfo pf;
-    pf.batch_id = 1;
+    ASSERT_TRUE(
+        w.append(journal_rec(JournalEvent::kSubmit, 2, encode_submit(m2, 0))));
+    GroupInfo pf;
     pf.design_hash = dhash;
-    pf.base_seed = 1;
-    pf.k = 2;
     pf.label = "p1";
-    pf.no_kill = 1;
-    ASSERT_TRUE(w.append(rec(JournalEvent::kPortfolio, 1,
-                             encode_portfolio(pf))));
+    pf.members = {{1, false}, {2, false}};
+    pf.raced = true;
+    pf.base_seed = 1;
+    pf.policy.no_kill = true;
+    ASSERT_TRUE(
+        w.append(journal_rec(JournalEvent::kGroup, 1, encode_group(pf))));
   }
 
   ServerConfig cfg;
@@ -470,32 +554,175 @@ TEST(PortfolioRecovery, CrashMidPortfolioRecoversAndSettles) {
   cfg.state_dir = state.string();
   PlacementServer srv(cfg);
 
-  // The portfolio aggregate survived the crash...
-  const auto st0 = srv.portfolio_status(1);
+  // The raced group survived the crash with its member list...
+  const auto st0 = srv.group_status(1);
   ASSERT_TRUE(st0.has_value());
-  EXPECT_EQ(st0->batch_id, 1u);
-  EXPECT_EQ(st0->design_hash, dhash);
-  EXPECT_EQ(st0->base_seed, 1u);
-  ASSERT_EQ(st0->jobs.size(), 2u);
+  EXPECT_TRUE(st0->info.raced);
+  EXPECT_EQ(st0->info.design_hash, dhash);
+  EXPECT_EQ(st0->info.base_seed, 1u);
+  EXPECT_TRUE(st0->info.policy.no_kill);
+  ASSERT_EQ(st0->info.members.size(), 2u);
+  EXPECT_EQ(st0->info.members[1].id, 2u);
+  EXPECT_EQ(st0->done, 1u);
+  EXPECT_EQ(st0->best_job, 1u);
+  EXPECT_EQ(st0->killed, 0u);
 
   // ...and settles: member 1 replays as done, member 2 re-runs to terminal.
-  const auto st = srv.portfolio_wait(1, 300.0);
+  const auto st = srv.group_wait(1, 300.0);
   ASSERT_TRUE(st.has_value());
   EXPECT_TRUE(st->all_terminal);
   EXPECT_EQ(st->done, 2u);
-  ASSERT_NE(st->winner, 0u);
-  EXPECT_GT(st->winner_hpwl, 0.0);
+  ASSERT_NE(st->best_job, 0u);
+  EXPECT_GT(st->best_hpwl, 0.0);
 
-  // Ids keep advancing past the recovered portfolio.
-  JobSpec src;
-  src.demo_cells = 130;
-  src.demo_seed = 5;
-  const auto out = srv.submit_portfolio(portfolio_base(dhash, 25), 2, 0.0);
+  // Ids keep advancing past the recovered group.
+  const auto out = srv.submit_portfolio(portfolio_base(dhash, 25), 2, 0.0,
+                                        srv.config().portfolio_policy);
   ASSERT_TRUE(out.ok) << out.error;
-  EXPECT_EQ(out.portfolio_id, 2u);
+  EXPECT_EQ(out.id, 2u);
 
   srv.shutdown(/*drain=*/true);
   fs::remove_all(state);
+}
+
+TEST(PortfolioRecovery, KilledCountsOnlyRacerKillsAcrossRestart) {
+  const fs::path state = fresh_dir("killed");
+  const std::uint64_t dhash = io::demo_content_hash(130, 5);
+
+  // A raced group whose members settled every way a member can be
+  // cancelled: member 2 by a group cancel, member 3 by the racer, member 4
+  // by the racer with the crash landing between the kill and its settle,
+  // member 5 likewise but with its deadline spent during the downtime.
+  {
+    io::JournalWriter w;
+    ASSERT_TRUE(w.open((state / "journal.xpjl").string(), /*truncate=*/true));
+    DesignRefInfo ref;
+    ref.demo = true;
+    ref.cells = 130;
+    ref.seed = 5;
+    ASSERT_TRUE(w.append(journal_rec(JournalEvent::kDesignRef, dhash,
+                                     encode_design_ref(ref))));
+    for (std::uint64_t id = 1; id <= 5; ++id) {
+      JobSpec m = portfolio_base(dhash, 25);
+      m.seed = id;
+      m.dedup = true;
+      m.deadline_s = id == 5 ? 30.0 : 0.0;  // submitted at wall time 0
+      ASSERT_TRUE(w.append(
+          journal_rec(JournalEvent::kSubmit, id, encode_submit(m, 0))));
+      ASSERT_TRUE(w.append(journal_rec(JournalEvent::kStart, id)));
+    }
+    FinishInfo fin;
+    fin.state = JobState::kDone;
+    fin.hpwl = 42.5;
+    ASSERT_TRUE(
+        w.append(journal_rec(JournalEvent::kFinish, 1, encode_finish(fin))));
+    fin.state = JobState::kCancelled;
+    fin.stop_reason = core::StopReason::kCancelled;
+    fin.hpwl = 50.0;
+    ASSERT_TRUE(w.append(journal_rec(JournalEvent::kCancel, 2)));
+    ASSERT_TRUE(
+        w.append(journal_rec(JournalEvent::kFinish, 2, encode_finish(fin))));
+    fin.error = kRacerKillError;
+    ASSERT_TRUE(
+        w.append(journal_rec(JournalEvent::kCancel, 3, kRacerKillError)));
+    ASSERT_TRUE(
+        w.append(journal_rec(JournalEvent::kFinish, 3, encode_finish(fin))));
+    ASSERT_TRUE(
+        w.append(journal_rec(JournalEvent::kCancel, 4, kRacerKillError)));
+    ASSERT_TRUE(
+        w.append(journal_rec(JournalEvent::kCancel, 5, kRacerKillError)));
+    GroupInfo pf;
+    pf.design_hash = dhash;
+    pf.label = "p1";
+    pf.members = {{1, false}, {2, false}, {3, false}, {4, false}, {5, false}};
+    pf.raced = true;
+    pf.base_seed = 1;
+    ASSERT_TRUE(
+        w.append(journal_rec(JournalEvent::kGroup, 1, encode_group(pf))));
+  }
+
+  ServerConfig cfg;
+  cfg.max_concurrency = 1;
+  cfg.portfolio_poll_s = -1.0;
+  cfg.state_dir = state.string();
+  PlacementServer srv(cfg);
+  const auto st = srv.group_status(1);
+  ASSERT_TRUE(st.has_value());
+  EXPECT_TRUE(st->all_terminal);
+  EXPECT_EQ(st->done, 1u);
+  EXPECT_EQ(st->cancelled, 4u);
+  EXPECT_EQ(st->killed, 3u);  // members 3-5; the group cancel is not one
+  EXPECT_EQ(st->best_job, 1u);
+  const auto late = srv.status(5);
+  ASSERT_TRUE(late.has_value());
+  EXPECT_EQ(late->error, kRacerKillError);
+  EXPECT_EQ(late->stop_reason, core::StopReason::kDeadline);
+  EXPECT_EQ(srv.stats().portfolio_kills, 2u);  // the two settled here
+  srv.shutdown(/*drain=*/true);
+  fs::remove_all(state);
+}
+
+TEST(PortfolioRecovery, LiveKillCountsSurviveACrash) {
+  const fs::path live = fresh_dir("live");
+  const fs::path copy = fresh_dir("copy");
+  std::size_t killed_live = 0;
+  {
+    // Aggressive racing kills a laggard in raced group 1; raced group 2 runs
+    // without early-kill and is cancelled as a group.
+    ServerConfig cfg;
+    cfg.max_concurrency = 2;
+    cfg.portfolio_poll_s = 0.02;
+    cfg.state_dir = live.string();
+    PlacementServer srv(cfg);
+    JobSpec src;
+    src.demo_cells = 1200;
+    src.demo_seed = 3;
+    const auto up = srv.upload_design(src);
+    ASSERT_TRUE(up.ok) << up.error;
+    RacePolicy aggressive;
+    aggressive.min_iter = 3;
+    aggressive.hpwl_margin = 1.0;
+    aggressive.overflow_slack = -10.0;
+    const auto raced =
+        srv.submit_portfolio(portfolio_base(up.hash, 4000), 2, 0.0, aggressive);
+    ASSERT_TRUE(raced.ok) << raced.error;
+    const auto st = srv.group_wait(raced.id, 300.0);
+    ASSERT_TRUE(st.has_value() && st->all_terminal);
+    killed_live = st->killed;
+    ASSERT_GE(killed_live, 1u);
+
+    RacePolicy no_kill;
+    no_kill.no_kill = true;
+    JobSpec base = portfolio_base(up.hash, 4000);
+    base.seed = 7;
+    const auto cancelled = srv.submit_portfolio(base, 2, 0.0, no_kill);
+    ASSERT_TRUE(cancelled.ok) << cancelled.error;
+    std::size_t n = 0;
+    std::string err;
+    ASSERT_TRUE(srv.group_cancel(cancelled.id, &n, &err)) << err;
+    const auto st2 = srv.group_wait(cancelled.id, 300.0);
+    ASSERT_TRUE(st2.has_value() && st2->all_terminal);
+    EXPECT_EQ(st2->cancelled, 2u);
+    EXPECT_EQ(st2->killed, 0u);
+    // The journal as it stands now is what a crash here would leave.
+    fs::copy_file(live / "journal.xpjl", copy / "journal.xpjl");
+    srv.shutdown(/*drain=*/false);
+  }
+  ServerConfig cfg;
+  cfg.max_concurrency = 1;
+  cfg.portfolio_poll_s = -1.0;
+  cfg.state_dir = copy.string();
+  PlacementServer srv(cfg);
+  const auto st = srv.group_status(1);
+  ASSERT_TRUE(st.has_value());
+  EXPECT_EQ(st->killed, killed_live);
+  const auto st2 = srv.group_status(2);
+  ASSERT_TRUE(st2.has_value());
+  EXPECT_EQ(st2->cancelled, 2u);
+  EXPECT_EQ(st2->killed, 0u);
+  srv.shutdown(/*drain=*/true);
+  fs::remove_all(live);
+  fs::remove_all(copy);
 }
 
 // ---------------------------------------------------------------------------

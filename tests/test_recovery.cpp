@@ -295,6 +295,12 @@ TEST(Recovery, PayloadCodecsRoundTripBitwise) {
   EXPECT_FALSE(decode_submit(enc.substr(0, enc.size() / 2), &out_spec,
                              &attempt));
   EXPECT_FALSE(decode_finish("", &fout));
+  // So are payloads with trailing bytes (a record from another layout).
+  EXPECT_FALSE(decode_submit(enc + '\0', &out_spec, &attempt));
+  EXPECT_FALSE(decode_finish(encode_finish(fin) + '\0', &fout));
+  EXPECT_FALSE(decode_checkpoint(
+      encode_checkpoint(240, "/tmp/job7.xpck") + '\0', &next_iter, &ck_path));
+  EXPECT_FALSE(decode_retry(encode_retry(retry) + '\0', &rout));
 }
 
 TEST(Recovery, InterleavedSubmitCancelReplayFoldsPerJob) {

@@ -867,6 +867,142 @@ TEST_F(UdsDaemonTest, StatusOfUnknownJobIsAnError) {
   EXPECT_NE(v.get_string("error").find("unknown"), std::string::npos);
 }
 
+/// Member job ids of a group aggregate's "jobs" array, in order.
+std::vector<std::uint64_t> member_ids(const json::Value& group) {
+  std::vector<std::uint64_t> ids;
+  const json::Value* jobs = group.find("jobs");
+  if (jobs == nullptr || !jobs->is_array()) return ids;
+  for (const json::Value& j : jobs->array()) {
+    ids.push_back(static_cast<std::uint64_t>(j.get_number("id", 0)));
+  }
+  return ids;
+}
+
+TEST_F(UdsDaemonTest, GroupVerbsOverTheSocket) {
+  // submit-batch with a repeated config: the repeat is served by its twin.
+  Request sweep;
+  sweep.cmd = Command::kSubmitBatch;
+  sweep.spec = demo_spec(300, 30);
+  sweep.spec.dedup = true;
+  for (const std::uint64_t seed : {1, 2, 1}) {
+    JobSpec c = sweep.spec;
+    c.seed = seed;
+    sweep.configs.push_back(c);
+  }
+  json::Value resp = rpc(build_request(sweep));
+  ASSERT_TRUE(resp.get_bool("ok", false)) << resp.dump();
+  const auto bid = static_cast<std::uint64_t>(resp.get_number("batch", 0));
+  ASSERT_GT(bid, 0u);
+  const std::vector<std::uint64_t> sweep_ids = member_ids(resp);
+  ASSERT_EQ(sweep_ids.size(), 3u);
+  EXPECT_EQ(sweep_ids[2], sweep_ids[0]);
+  EXPECT_TRUE(resp.find("jobs")->array()[2].get_bool("dedup", false));
+
+  Request wait;
+  wait.cmd = Command::kBatchResult;
+  wait.id = bid;
+  wait.wait = true;
+  wait.timeout_s = 120.0;
+  resp = rpc(build_request(wait));
+  ASSERT_TRUE(resp.get_bool("ok", false)) << resp.dump();
+  const json::Value* agg = resp.find("batch");
+  ASSERT_NE(agg, nullptr);
+  EXPECT_TRUE(agg->get_bool("all_terminal", false));
+  EXPECT_EQ(agg->get_number("done", 0), 3.0);
+  EXPECT_GT(agg->get_number("best_hpwl", 0), 0.0);
+  EXPECT_EQ(member_ids(*agg), sweep_ids);
+  ASSERT_TRUE(resp.has("jobs"));
+  EXPECT_EQ(resp.find("jobs")->array().size(), 3u);
+
+  // submit-portfolio without early-kill, then its status and result verbs.
+  Request race;
+  race.cmd = Command::kSubmitPortfolio;
+  race.spec = demo_spec(300, 30);
+  race.spec.seed = 5;
+  race.k = 2;
+  race.no_kill = true;
+  resp = rpc(build_request(race));
+  ASSERT_TRUE(resp.get_bool("ok", false)) << resp.dump();
+  const auto pid = static_cast<std::uint64_t>(resp.get_number("portfolio", 0));
+  const auto pbatch = static_cast<std::uint64_t>(resp.get_number("batch", 0));
+  ASSERT_GT(pid, 0u);
+  ASSERT_GT(pbatch, 0u);
+  const std::vector<std::uint64_t> race_ids = member_ids(resp);
+  ASSERT_EQ(race_ids.size(), 2u);
+
+  Request pstatus;
+  pstatus.cmd = Command::kPortfolioStatus;
+  pstatus.id = pid;
+  resp = rpc(build_request(pstatus));
+  ASSERT_TRUE(resp.get_bool("ok", false)) << resp.dump();
+  ASSERT_TRUE(resp.has("portfolio"));
+  EXPECT_EQ(member_ids(*resp.find("portfolio")), race_ids);
+
+  Request presult;
+  presult.cmd = Command::kPortfolioResult;
+  presult.id = pid;
+  presult.wait = true;
+  presult.timeout_s = 120.0;
+  resp = rpc(build_request(presult));
+  ASSERT_TRUE(resp.get_bool("ok", false)) << resp.dump();
+  const json::Value* pagg = resp.find("portfolio");
+  ASSERT_NE(pagg, nullptr);
+  EXPECT_TRUE(pagg->get_bool("all_terminal", false));
+  EXPECT_EQ(pagg->get_number("done", 0), 2.0);
+  EXPECT_EQ(pagg->get_number("killed", -1), 0.0);
+  const json::Value* winner = resp.find("winner");
+  ASSERT_NE(winner, nullptr) << resp.dump();
+  EXPECT_EQ(winner->get_string("state"), "done");
+  const auto wid = static_cast<std::uint64_t>(winner->get_number("id", 0));
+  EXPECT_TRUE(wid == race_ids[0] || wid == race_ids[1]) << wid;
+
+  // The batch verbs act on the portfolio's members too.
+  Request bstatus;
+  bstatus.cmd = Command::kBatchStatus;
+  bstatus.id = pbatch;
+  resp = rpc(build_request(bstatus));
+  ASSERT_TRUE(resp.get_bool("ok", false)) << resp.dump();
+  ASSERT_TRUE(resp.has("batch"));
+  EXPECT_EQ(member_ids(*resp.find("batch")), race_ids);
+
+  // batch-cancel stops a live sweep in one shot.
+  Request slow = sweep;
+  slow.spec = demo_spec(1500, 5000);
+  slow.configs.clear();
+  for (const std::uint64_t seed : {1, 2}) {
+    JobSpec c = slow.spec;
+    c.seed = seed;
+    slow.configs.push_back(c);
+  }
+  resp = rpc(build_request(slow));
+  ASSERT_TRUE(resp.get_bool("ok", false)) << resp.dump();
+  const auto slow_id = static_cast<std::uint64_t>(resp.get_number("batch", 0));
+  Request cancel;
+  cancel.cmd = Command::kBatchCancel;
+  cancel.id = slow_id;
+  resp = rpc(build_request(cancel));
+  ASSERT_TRUE(resp.get_bool("ok", false)) << resp.dump();
+  EXPECT_EQ(resp.get_number("cancelled", 0), 2.0);
+  wait.id = slow_id;
+  resp = rpc(build_request(wait));
+  ASSERT_TRUE(resp.get_bool("ok", false)) << resp.dump();
+  EXPECT_TRUE(resp.find("batch")->get_bool("all_terminal", false));
+  EXPECT_EQ(resp.find("batch")->get_number("cancelled", 0), 2.0);
+
+  // Unknown group ids are errors on every group verb.
+  for (const Command cmd :
+       {Command::kBatchStatus, Command::kBatchResult, Command::kBatchCancel,
+        Command::kPortfolioStatus, Command::kPortfolioResult}) {
+    Request req;
+    req.cmd = cmd;
+    req.id = 424242;
+    const json::Value v = rpc(build_request(req));
+    EXPECT_FALSE(v.get_bool("ok", true)) << to_string(cmd);
+    EXPECT_NE(v.get_string("error").find("unknown"), std::string::npos)
+        << to_string(cmd);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Observability plane (DESIGN.md §12)
 // ---------------------------------------------------------------------------
